@@ -15,11 +15,11 @@
 //!   around them until they are ready, so warm-up manifests as
 //!   *delayed capacity* — the still-warming replica leaves the rest
 //!   of the fleet congested, which the measured TTFT/attainment pick
-//!   up. Dispatch goes through
-//!   [`seesaw_engine::OnlineEngine::run_ready`], whose ready-time
-//!   clamp is the engine-level guard of the same contract (a no-op
-//!   here because the router never hands a warming replica traffic,
-//!   but load-bearing for streams assembled without the router).
+//!   up. Each replica is an actor over its engine's resumable run
+//!   ([`seesaw_engine::OnlineEngine::start`]), whose ready-time clamp
+//!   is the engine-level guard of the same contract (a no-op here
+//!   because the router never hands a warming replica traffic, but
+//!   load-bearing for streams assembled without the router).
 //! * **Scale down** marks replicas as retiring: they stop receiving
 //!   new requests and *drain* their in-flight work before
 //!   disappearing — the replica's billed lifetime extends to its last
@@ -27,9 +27,9 @@
 //!
 //! Routing decisions use only a-priori state (virtual queues and
 //! roofline service estimates), so the whole decision trajectory is
-//! deterministic and independent of the [`SweepRunner`]; the real
-//! engine simulations run once per replica after the trajectory is
-//! fixed, in parallel, and merge into an ordinary [`FleetReport`]
+//! deterministic and independent of the [`SweepRunner`]; the actors
+//! are finished once the trajectory is fixed, in parallel, and their
+//! reports merge into an ordinary [`FleetReport`]
 //! judged by measured (not estimated) latency. A [`ScalingPolicy::Static`]
 //! trajectory never scales, which makes the elastic run collapse
 //! exactly — byte-for-byte — onto the fixed [`seesaw_fleet::Fleet`]
@@ -43,9 +43,9 @@ use crate::faults::{
 use crate::policy::{ScaleDecision, ScalingPolicy};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
-use seesaw_engine::{live_state, EngineReport, LiveState, OnlineEngine, ServiceRates, SweepRunner};
+use seesaw_engine::{EngineStepper, OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_fleet::sweep::ReplicaBuilder;
-use seesaw_fleet::telemetry::{record_request_spans, replica_track};
+use seesaw_fleet::telemetry::{record_request_spans, record_route, replica_track};
 use seesaw_fleet::{FleetReport, Router, RouterPolicy};
 use seesaw_telemetry::{
     fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK, ROUTER_TRACK,
@@ -166,7 +166,7 @@ pub struct WindowSignals {
     /// capacity). Under a live policy
     /// ([`RouterPolicy::needs_live_state`]) it is the *measured*
     /// count of unfinished requests across accepting replicas,
-    /// observed from their exact engine replays on the global clock.
+    /// observed from their resumable engine runs on the global clock.
     pub queue_depth: f64,
     /// Fraction of the window's arrivals whose *estimated* queue wait
     /// (fluid backlog over accepting replicas at the arrival instant)
@@ -312,33 +312,16 @@ struct ReplicaState {
     ready_s: f64,
     retire_s: Option<f64>,
     killed_s: Option<f64>,
-    stream: Vec<Request>,
-    /// `(original request index, attempt number, calibrated work)`
-    /// per stream entry, kept only when live routing meets fault
-    /// injection: it resolves which *measured*-in-flight attempts a
-    /// kill loses.
-    stream_meta: Vec<(usize, u32, f64)>,
-    /// Memoized causal replay of the assigned stream (see
-    /// [`seesaw_engine::stepper`]), kept only under live routing;
-    /// invalidated whenever the stream grows.
-    live_cache: Option<EngineReport>,
+    /// `(attempt id, original request index, attempt number,
+    /// calibrated work)` per assigned attempt, kept only when live
+    /// routing meets fault injection: it resolves which
+    /// *measured*-in-flight attempts a kill loses.
+    stream_meta: Vec<(u64, usize, u32, f64)>,
 }
 
 impl ReplicaState {
     fn live(&self) -> bool {
         self.retire_s.is_none() && self.killed_s.is_none()
-    }
-
-    /// Measured replica state at `t`, from the exact causal replay of
-    /// everything assigned so far (engines admit on arrival times, so
-    /// the prefix replay *is* the live trajectory). Memoized between
-    /// assignments: a replica that received nothing re-simulates
-    /// nothing.
-    fn live_state_at(&mut self, t: f64) -> LiveState {
-        if self.live_cache.is_none() {
-            self.live_cache = Some(self.engine.run_ready(&self.stream, self.ready_s));
-        }
-        live_state(self.live_cache.as_ref().expect("cache just filled"), t)
     }
 }
 
@@ -415,7 +398,7 @@ impl AutoscaleController {
     /// [`AutoscaleController::run`] on an explicit runner. The
     /// decision trajectory is computed serially (it is causal:
     /// window N+1's routing depends on window N's scaling), so the
-    /// runner only parallelizes the per-replica engine simulations —
+    /// runner only parallelizes finishing the per-replica runs —
     /// output is byte-identical for every `--jobs` value.
     pub fn run_with(
         &self,
@@ -501,32 +484,33 @@ impl AutoscaleController {
         // trajectory), so the counters run unconditionally; only the
         // wall-clock timers are gated on `prof`.
         let mut replay_s = 0.0f64;
-        let mut replays: u64 = 0;
-        let mut replayed_requests: u64 = 0;
         faults
             .validate()
             .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
         assert_arrivals_sorted(requests);
         let (avg_in, avg_out) = mean_lengths(requests);
-        let spawn = |idx: usize, spawn_s: f64, ready_s: f64| -> ReplicaState {
+        // A replica is its lifecycle plus an actor: the resumable run
+        // of its engine (`runs[i]`), pushed every routed attempt. Live
+        // routing queries the actors; estimated routing only pushes.
+        let spawn = |idx: usize, spawn_s: f64, ready_s: f64| -> (ReplicaState, EngineStepper) {
             let engine = build(idx);
             let rates = engine.service_rates(avg_in, avg_out);
-            ReplicaState {
+            let run = engine.start(ready_s);
+            let state = ReplicaState {
                 engine,
                 rates,
                 spawn_s,
                 ready_s,
                 retire_s: None,
                 killed_s: None,
-                stream: Vec::new(),
                 stream_meta: Vec::new(),
-                live_cache: None,
-            }
+            };
+            (state, run)
         };
 
         let n0 = self.policy.initial_replicas(cfg.min_replicas, cfg.max_replicas);
-        let mut replicas: Vec<ReplicaState> =
-            (0..n0).map(|i| spawn(i, 0.0, 0.0)).collect();
+        let (mut replicas, mut runs): (Vec<ReplicaState>, Vec<EngineStepper>) =
+            (0..n0).map(|i| spawn(i, 0.0, 0.0)).unzip();
         let mut router = Router::new(cfg.router, n0);
         let mut assignment = vec![0usize; requests.len()];
         if telemetry {
@@ -556,11 +540,14 @@ impl AutoscaleController {
         // beyond an integer compare. Hash containers are lookup-only
         // (never iterated), so their order cannot leak into output.
         let injecting = !faults.events.is_empty();
-        // Live routing: decisions read measured replica state (exact
-        // causal replays) instead of the router's virtual queues, and
-        // a kill's lost set is the *measured* in-flight attempts at
-        // the kill instant rather than the `CalQueue` mirror.
+        // Live routing: decisions read measured replica state (the
+        // actors' resumed runs) instead of the router's virtual
+        // queues, and a kill's lost set is the *measured* in-flight
+        // attempts at the kill instant rather than the `CalQueue`
+        // mirror. Remaining work is read (a drain) only for policies
+        // that rank on it.
         let live_routing = cfg.router.needs_live_state();
+        let ranks_work = cfg.router == RouterPolicy::LeastWorkLive;
         let mut dispatch = DispatchQueue::new(requests);
         let mut next_fault = 0usize;
         let mut base_next = 0usize; // original index of the next base dispatch
@@ -691,31 +678,18 @@ impl AutoscaleController {
                         // the `CalQueue` mirror; live mode reads the
                         // *measured* in-flight set — the kill fires as
                         // an event on the global clock, and what it
-                        // loses is exactly what the replica's replay
-                        // says is unfinished at that instant.
+                        // loses is exactly what the replica's run
+                        // leaves unfinished at that instant.
                         let lost: Vec<(f64, f64, u64, usize, u32)> = if live_routing {
                             let replay_start = prof.then(Instant::now);
-                            let rep = &mut replicas[v];
-                            if rep.live_cache.is_none() {
-                                replays += 1;
-                                replayed_requests += rep.stream.len() as u64;
-                                rep.live_cache =
-                                    Some(rep.engine.run_ready(&rep.stream, rep.ready_s));
-                            }
-                            let replay = rep.live_cache.as_ref().expect("cache just filled");
-                            let completion: HashMap<u64, f64> = replay
-                                .timeline
+                            let completion: HashMap<u64, f64> =
+                                runs[v].unfinished_at(tk).into_iter().collect();
+                            let lost = replicas[v]
+                                .stream_meta
                                 .iter()
-                                .map(|t| (t.id, t.completion_s))
-                                .collect();
-                            let lost = rep
-                                .stream
-                                .iter()
-                                .zip(&rep.stream_meta)
-                                .filter_map(|(r, &(orig_idx, attempt, work))| {
-                                    let done =
-                                        completion.get(&r.id).copied().unwrap_or(f64::INFINITY);
-                                    (done > tk).then_some((done, work, r.id, orig_idx, attempt))
+                                .filter_map(|&(id, orig_idx, attempt, work)| {
+                                    let done = *completion.get(&id)?;
+                                    Some((done, work, id, orig_idx, attempt))
                                 })
                                 .collect();
                             replay_s += lap(replay_start);
@@ -877,24 +851,23 @@ impl AutoscaleController {
                 // policies ignore the vec and read their virtual
                 // queues). Queried serially in eligible order, so the
                 // trajectory stays deterministic and jobs-invariant.
-                let live: Vec<(usize, f64)> = if live_routing {
+                let live: Vec<(usize, Option<f64>)> = if live_routing {
                     let replay_start = prof.then(Instant::now);
-                    let mut states = Vec::with_capacity(eligible.len());
-                    for &i in &eligible {
-                        if replicas[i].live_cache.is_none() {
-                            replays += 1;
-                            replayed_requests += replicas[i].stream.len() as u64;
-                        }
-                        let s = replicas[i].live_state_at(req.arrival_s);
-                        states.push((s.queue_depth, s.work_s));
-                    }
+                    let states = eligible
+                        .iter()
+                        .map(|&i| runs[i].depth_and_work_at(req.arrival_s, ranks_work))
+                        .collect();
                     replay_s += lap(replay_start);
                     states
                 } else {
                     Vec::new()
                 };
+                let keys: Vec<(usize, f64)> = live
+                    .iter()
+                    .map(|&(depth, work)| (depth, work.unwrap_or(0.0)))
+                    .collect();
                 let routed = router
-                    .route_live_among(&req, &eligible, &live, |i, r| {
+                    .route_live_among(&req, &eligible, &keys, |i, r| {
                         replicas[i].rates.est_service_s(r)
                     })
                     .expect("eligible is non-empty");
@@ -909,18 +882,18 @@ impl AutoscaleController {
                             .expect("routed among eligible");
                         live[pos]
                     } else {
-                        router.queue_state(req.arrival_s)[routed.replica]
+                        let (depth, work) = router.queue_state(req.arrival_s)[routed.replica];
+                        (depth, Some(work))
                     };
-                    instr.recorder.instant(
-                        ROUTER_TRACK,
-                        &format!("route {} -> r{}", req.id, routed.replica),
+                    record_route(
+                        &mut instr.recorder,
                         req.arrival_s,
-                        &[
-                            ("queue_depth", depth.to_string()),
-                            ("work_s", fmt_secs(work_s)),
-                            ("est_wait_s", fmt_secs(routed.est_wait_s)),
-                            ("measured", live_routing.to_string()),
-                        ],
+                        req.id,
+                        routed.replica,
+                        depth,
+                        work_s,
+                        routed.est_wait_s,
+                        live_routing,
                     );
                     instr
                         .metrics
@@ -932,11 +905,12 @@ impl AutoscaleController {
                     usize::from(backlog_s / eligible.len() as f64 <= cfg.slo.ttft_s);
                 backlog_s += work;
                 est_work_s += work;
-                replicas[routed.replica].stream.push(req);
+                runs[routed.replica].push(req);
                 if live_routing {
-                    replicas[routed.replica].live_cache = None;
                     if injecting {
-                        replicas[routed.replica].stream_meta.push((orig_idx, attempt, work));
+                        replicas[routed.replica]
+                            .stream_meta
+                            .push((req.id, orig_idx, attempt, work));
                     }
                 } else if injecting {
                     let q = &mut cal[routed.replica];
@@ -965,17 +939,15 @@ impl AutoscaleController {
             backlog_t = t1;
             // Under live routing the controller observes the
             // *measured* queue: unfinished requests across accepting
-            // replicas at the boundary, from their exact replays —
-            // not the calibrated fluid estimate.
+            // replicas at the boundary, from their actors' runs — not
+            // the calibrated fluid estimate.
             let queue_depth = if live_routing {
                 let replay_start = prof.then(Instant::now);
                 let mut depth = 0usize;
-                for rep in replicas.iter_mut().filter(|r| r.live() && r.ready_s <= t1) {
-                    if rep.live_cache.is_none() {
-                        replays += 1;
-                        replayed_requests += rep.stream.len() as u64;
+                for (rep, run) in replicas.iter().zip(&mut runs) {
+                    if rep.live() && rep.ready_s <= t1 {
+                        depth += run.counts_at(t1).queue_depth;
                     }
-                    depth += rep.live_state_at(t1).queue_depth;
                 }
                 replay_s += lap(replay_start);
                 depth as f64
@@ -1011,7 +983,9 @@ impl AutoscaleController {
                     for _ in 0..k {
                         let idx = router.add_replica();
                         debug_assert_eq!(idx, replicas.len());
-                        replicas.push(spawn(idx, t1, t1 + cfg.warmup_s));
+                        let (state, run) = spawn(idx, t1, t1 + cfg.warmup_s);
+                        replicas.push(state);
+                        runs.push(run);
                         cal.push(CalQueue::default());
                         if telemetry {
                             let label = replicas[idx].engine.label();
@@ -1084,7 +1058,9 @@ impl AutoscaleController {
                     for _ in 0..(want - live_now) {
                         let idx = router.add_replica();
                         debug_assert_eq!(idx, replicas.len());
-                        replicas.push(spawn(idx, t1, t1 + cfg.warmup_s));
+                        let (state, run) = spawn(idx, t1, t1 + cfg.warmup_s);
+                        replicas.push(state);
+                        runs.push(run);
                         cal.push(CalQueue::default());
                         if telemetry {
                             let label = replicas[idx].engine.label();
@@ -1139,12 +1115,14 @@ impl AutoscaleController {
         // so this equals the fault-free horizon.
         let horizon_s = windows.len() as f64 * cfg.window_s;
 
-        // The trajectory is fixed; run the real simulations.
+        // The trajectory is fixed; finish every actor's run.
+        let pushed: Vec<usize> = runs.iter().map(EngineStepper::pushed).collect();
+        let (replays, replayed_requests) = runs
+            .iter()
+            .map(EngineStepper::replay_counts)
+            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
         let engine_start = prof.then(Instant::now);
-        let indices: Vec<usize> = (0..replicas.len()).collect();
-        let mut reports = runner.map(&indices, |&i| {
-            replicas[i].engine.run_ready(&replicas[i].stream, replicas[i].ready_s)
-        });
+        let mut reports = EngineStepper::finish_all(runner, runs);
         let engine_s = lap(engine_start);
         let metrics_start = prof.then(Instant::now);
         if injecting {
@@ -1169,7 +1147,8 @@ impl AutoscaleController {
         let lifecycles: Vec<ReplicaLifecycle> = replicas
             .iter()
             .zip(&reports)
-            .map(|(rep, report)| {
+            .zip(pushed)
+            .map(|((rep, report), requests)| {
                 let last_completion = report
                     .timeline
                     .iter()
@@ -1188,7 +1167,7 @@ impl AutoscaleController {
                     retire_s: rep.retire_s,
                     killed_s: rep.killed_s,
                     end_s,
-                    requests: rep.stream.len(),
+                    requests,
                 }
             })
             .collect();

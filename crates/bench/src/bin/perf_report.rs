@@ -43,11 +43,18 @@
 //! and prints its wall-time phase attribution (routing / live-state
 //! replay / engine runs / metrics), which must explain >= 90% of the
 //! controller's total wall time.
+//!
+//! The `live_day` row times day-scale live routing: the reactive
+//! controller on the default diurnal day compressed to 1 800 s,
+//! replayed under `jsq-live` and under `jsq` (median of alternating
+//! runs). Their wall ratio cancels the host, and the report exits
+//! non-zero when `jsq-live` costs more than 3x the `jsq` day.
 
-use seesaw_bench::simsbench::{SimsBench, WORKLOAD_LABEL};
+use seesaw_bench::simsbench::{LiveDay, SimsBench, LIVE_DAY_S, WORKLOAD_LABEL};
 use seesaw_bench::{cli, figs};
 use seesaw_engine::sweep::host_cores;
 use seesaw_engine::SweepRunner;
+use seesaw_fleet::RouterPolicy;
 use seesaw_telemetry::ControllerProfile;
 use std::time::Instant;
 
@@ -70,6 +77,10 @@ const SKETCH_SPEEDUP_FLOOR: f64 = 1.5;
 const PROFILE_RUNS: usize = 3;
 /// Minimum fraction of controller wall time the profile must explain.
 const PROFILE_COVERAGE_FLOOR: f64 = 0.90;
+/// Runs of the day-scale cell per router (the medians are compared).
+const LIVE_DAY_RUNS: usize = 3;
+/// Ceiling on the day-scale `jsq-live` / `jsq` wall ratio.
+const LIVE_DAY_RATIO_CEILING: f64 = 3.0;
 
 struct FigTiming {
     name: &'static str,
@@ -240,6 +251,29 @@ fn measure_disabled_overhead(bench: &SimsBench) -> (f64, f64) {
     best
 }
 
+/// Median wall seconds of the day-scale cell under `jsq` and under
+/// `jsq-live`. Runs alternate after one warm-up, so host drift hits
+/// both routers alike.
+fn measure_live_day(day: &LiveDay) -> (f64, f64) {
+    let time = |router: RouterPolicy| {
+        let t0 = Instant::now();
+        std::hint::black_box(day.run(router));
+        t0.elapsed().as_secs_f64()
+    };
+    time(RouterPolicy::JoinShortestQueue);
+    let mut jsq = Vec::with_capacity(LIVE_DAY_RUNS);
+    let mut live = Vec::with_capacity(LIVE_DAY_RUNS);
+    for _ in 0..LIVE_DAY_RUNS {
+        jsq.push(time(RouterPolicy::JoinShortestQueue));
+        live.push(time(RouterPolicy::JoinShortestQueueLive));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(jsq), median(live))
+}
+
 /// Extract `"key": <number>` from a (flat) JSON artifact without a
 /// JSON parser — the artifact is machine-written by this binary, so
 /// a textual scan is exact enough for the regression gate.
@@ -318,6 +352,12 @@ fn main() {
         profile.absorb(&p);
     }
 
+    // Day-scale live routing against the same day under `jsq`.
+    eprintln!("timing the {LIVE_DAY_S:.0} s day under jsq and jsq-live...");
+    let day = LiveDay::new();
+    let (day_jsq_s, day_live_s) = measure_live_day(&day);
+    let day_ratio = day_live_s / day_jsq_s.max(1e-9);
+
     // Resolve the gate's retry *before* composing the artifact, so a
     // run that passes on the re-measurement also records those
     // (better) numbers — promoting the written artifact as the next
@@ -388,6 +428,12 @@ fn main() {
         profile.coverage(),
         profile.replay_amplification(),
     ));
+    json.push_str(&format!(
+        "  \"live_day\": {{\"day_s\": {LIVE_DAY_S:.0}, \"requests\": {}, \"jsq_s\": {day_jsq_s:.4}, \
+         \"jsq_live_s\": {day_live_s:.4}, \"ratio\": {day_ratio:.3}, \
+         \"ceiling\": {LIVE_DAY_RATIO_CEILING:.1}}},\n",
+        day.reqs.len()
+    ));
     json.push_str("  \"figures\": [\n");
     for (i, t) in timings.iter().enumerate() {
         json.push_str(&format!(
@@ -424,6 +470,18 @@ fn main() {
             "ERROR: controller profile explains only {:.1}% of wall time (floor {:.0}%)",
             100.0 * profile.coverage(),
             100.0 * PROFILE_COVERAGE_FLOOR
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "live_day ({} requests): jsq-live {day_live_s:.3}s vs jsq {day_jsq_s:.3}s -> \
+         {day_ratio:.2}x (ceiling {LIVE_DAY_RATIO_CEILING:.1}x)",
+        day.reqs.len()
+    );
+    if day_ratio > LIVE_DAY_RATIO_CEILING {
+        eprintln!(
+            "ERROR: day-scale jsq-live costs {day_ratio:.2}x the jsq day \
+             (ceiling {LIVE_DAY_RATIO_CEILING:.1}x)"
         );
         std::process::exit(1);
     }

@@ -25,9 +25,16 @@
 //!
 //! The live-fleet variant (`sims_per_sec.fleet_live`) is the same
 //! fleet cell under `jsq-live` routing: the global event loop with
-//! per-arrival measured-state queries (the causal replay stepper) in
+//! per-arrival measured-state queries (resumable engine runs) in
 //! place of the merged-timeline fast path — the cost of real-feedback
 //! routing on an otherwise identical cell.
+//!
+//! The day-scale live-routing scenario ([`LiveDay`], `perf_report`'s
+//! `live_day` row) is the `autoscale` bin's default diurnal day
+//! compressed to [`LIVE_DAY_S`] under the reactive controller, timed
+//! once under `jsq-live` and once under `jsq`: the ratio of the two
+//! walls is the host-cancelling cost of measured-state routing at day
+//! scale.
 //!
 //! The chaos variant (`sims_per_sec.chaos`) replays the autoscale
 //! scenario under a fixed seeded kill schedule (~3 expected kills on
@@ -45,6 +52,8 @@
 //! is deliberately excluded, so this figure tracks the pipeline
 //! itself rather than re-measuring `autoscale`.
 
+use crate::autoscale::{default_traces, ScenarioSpec, CAPACITY_PROBE_REQUESTS};
+use crate::serving::{default_engine_of, default_specs, EngineKind};
 use seesaw_autoscale::{
     AlertEngine, AlertEvent, AlertRule, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
     RetryPolicy, ScalingPolicy,
@@ -53,7 +62,7 @@ use seesaw_chaos::{ChaosController, FaultPlan, RecoverySpec};
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, SweepRunner};
-use seesaw_fleet::{Fleet, FleetReport, RouterPolicy};
+use seesaw_fleet::{offline_capacity, Fleet, FleetReport, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
@@ -77,6 +86,67 @@ pub const FLEET_REPLICAS: usize = 4;
 /// Length of the autoscale scenario's compressed diurnal trace,
 /// seconds.
 pub const AUTOSCALE_DAY_S: f64 = 120.0;
+
+/// Length of the day-scale live-routing scenario's compressed diurnal
+/// day, seconds.
+pub const LIVE_DAY_S: f64 = 1800.0;
+
+/// The day-scale live-routing scenario: the `autoscale` bin's default
+/// diurnal day (vLLM replicas, default envelope and seed) compressed
+/// to [`LIVE_DAY_S`], replayed by the reactive controller. Capacity is
+/// measured once, at construction.
+pub struct LiveDay {
+    cluster: Arc<ClusterSpec>,
+    model: Arc<ModelConfig>,
+    config: AutoscaleConfig,
+    /// The day's requests.
+    pub reqs: Vec<Request>,
+}
+
+impl Default for LiveDay {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LiveDay {
+    /// Measure capacity and sample the day.
+    pub fn new() -> Self {
+        let spec = ScenarioSpec {
+            day_s: LIVE_DAY_S,
+            ..ScenarioSpec::default()
+        };
+        let (cluster, model) = default_specs();
+        let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
+        let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
+        let (capacity_rps, _) = offline_capacity(&build, &probe);
+        let (_, reqs) = default_traces(&spec, capacity_rps).swap_remove(0);
+        let config = AutoscaleConfig {
+            capacity_rps,
+            ..AutoscaleConfig::default()
+        };
+        LiveDay {
+            cluster,
+            model,
+            config,
+            reqs,
+        }
+    }
+
+    /// Replay the day under `router`.
+    pub fn run(&self, router: RouterPolicy) -> ElasticFleetReport {
+        let config = AutoscaleConfig {
+            router,
+            ..self.config
+        };
+        let build = |_: usize| default_engine_of(EngineKind::Vllm, &self.cluster, &self.model);
+        AutoscaleController::new(config, ScalingPolicy::reactive_default()).run_with(
+            &SweepRunner::serial(),
+            &build,
+            &self.reqs,
+        )
+    }
+}
 
 /// The fixed benchmark scenario: `Arc`-shared specs + request set.
 #[derive(Debug)]
@@ -232,8 +302,8 @@ impl SimsBench {
     /// One live-routed fleet evaluation (`sims_per_sec.fleet_live`):
     /// the same [`FLEET_REPLICAS`]-replica cell as
     /// [`SimsBench::run_fleet_once`], but under `jsq-live` — the
-    /// global event loop queries every replica's measured state (via
-    /// the causal replay stepper) at each arrival instead of routing
+    /// global event loop queries every replica's measured state (its
+    /// resumable engine run) at each arrival instead of routing
     /// on analytic virtual queues. The fast-path/event-loop cost
     /// ratio is exactly what this figure tracks.
     pub fn run_fleet_live_once(&self) -> FleetReport {

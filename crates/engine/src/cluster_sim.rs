@@ -41,6 +41,21 @@ pub struct ClusterSim {
     scratch: Vec<TaskHandle>,
 }
 
+/// A fork: the simulator's arena is copied, the cluster handle shared.
+impl Clone for ClusterSim {
+    fn clone(&self) -> Self {
+        ClusterSim {
+            sim: self.sim.clone(),
+            cluster: Arc::clone(&self.cluster),
+            compute: self.compute.clone(),
+            h2d: self.h2d.clone(),
+            d2h: self.d2h.clone(),
+            staging: self.staging.clone(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
 impl Drop for ClusterSim {
     fn drop(&mut self) {
         seesaw_sim::release_pooled(std::mem::take(&mut self.sim));

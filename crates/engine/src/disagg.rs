@@ -12,7 +12,7 @@
 //! and is accounted as a decode-side overhead.
 
 use crate::autotune;
-use crate::online::{mean_lengths, OnlineEngine, ServiceRates};
+use crate::online::{EngineRun, OnlineEngine, Progress, ServiceRates, Unfinished};
 use crate::report::EngineReport;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
@@ -20,7 +20,7 @@ use seesaw_parallel::{FitError, ParallelConfig};
 use seesaw_roofline::{Roofline, ThroughputModel};
 use seesaw_workload::{LatencyStats, Request, RequestTiming, RunStats, SloSpec};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One evaluated disaggregation split.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,8 +68,9 @@ impl DisaggReport {
     }
 }
 
-/// The disaggregated-deployment analyzer.
-#[derive(Debug)]
+/// The disaggregated-deployment analyzer. `Clone` shares the spec
+/// handles and the split cache.
+#[derive(Debug, Clone)]
 pub struct DisaggEngine {
     cluster: Arc<ClusterSpec>,
     model: Arc<ModelConfig>,
@@ -79,7 +80,7 @@ pub struct DisaggEngine {
     /// the same workload's split once per replica plus once for
     /// service rates (`Mutex`, not `RefCell`: engines run `&self`
     /// across sweep threads).
-    split_cache: std::sync::Mutex<Option<((usize, usize), DisaggReport)>>,
+    split_cache: Arc<Mutex<Option<((usize, usize), DisaggReport)>>>,
 }
 
 impl DisaggEngine {
@@ -92,7 +93,7 @@ impl DisaggEngine {
         DisaggEngine {
             cluster: cluster.into(),
             model: model.into(),
-            split_cache: std::sync::Mutex::new(None),
+            split_cache: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -200,20 +201,205 @@ impl DisaggEngine {
     /// FIFO stages. Deterministic; panics when no split is feasible
     /// (the disaggregation counterpart of an engine that cannot fit
     /// the model).
+    ///
+    /// The split is sized from the mean lengths of the *whole* stream,
+    /// so this engine is not causal: a prefix of the stream can run
+    /// under a different split than the full stream. Its resumable
+    /// run ([`OnlineEngine::begin`]) answers state queries by prefix
+    /// evaluation instead — see [`crate::stepper`].
     pub fn run(&self, requests: &[Request]) -> EngineReport {
         crate::driver::assert_arrivals_sorted(requests);
-        let (avg_in, avg_out) = mean_lengths(requests);
-        let split = self
-            .best_split(avg_in, avg_out)
-            .unwrap_or_else(|e| panic!("disagg run impossible: {e:?}"));
-        let label = format!(
-            "disagg {}p{}+{}d{}",
-            split.prefill_gpus, split.prefill_config, split.decode_gpus, split.decode_config
+        let mut run = DisaggRun::new(self.clone());
+        for req in requests {
+            run.push(*req);
+        }
+        Box::new(run).finish()
+    }
+}
+
+/// The tandem queue evaluated over a stream prefix under one split.
+#[derive(Debug, Clone)]
+struct Tandem {
+    /// Mean lengths the split was sized for.
+    key: (usize, usize),
+    label: String,
+    split: DisaggReport,
+    prefill_tok_rate: f64,
+    step_rate: f64,
+    xfer: f64,
+    prefill_free: f64,
+    decode_free: f64,
+    prefill_busy: f64,
+    decode_busy: f64,
+    kv_bytes_total: u64,
+    /// Per-request timings in arrival order. First-token and
+    /// completion times are nondecreasing along it (both stages are
+    /// FIFO), so counts at `t` are binary searches.
+    timeline: Vec<RequestTiming>,
+}
+
+/// The disaggregated engine's resumable run. State queries use
+/// *prefix evaluation*: the tandem queue over everything pushed so
+/// far, with the split sized from that prefix's mean lengths —
+/// exactly what a replay of the prefix computes. While the rounded
+/// means stay put (they settle quickly) each push extends the queue
+/// in O(1); a shift re-evaluates the prefix under the new split.
+#[derive(Debug, Clone)]
+struct DisaggRun {
+    eng: DisaggEngine,
+    pushed: Vec<Request>,
+    sums: (u64, u64),
+    horizon: f64,
+    last_query: f64,
+    tandem: Option<Tandem>,
+}
+
+impl DisaggRun {
+    fn new(eng: DisaggEngine) -> Self {
+        DisaggRun {
+            eng,
+            pushed: Vec::new(),
+            sums: (0, 0),
+            horizon: f64::NEG_INFINITY,
+            last_query: f64::NEG_INFINITY,
+            tandem: None,
+        }
+    }
+
+    /// [`crate::online::mean_lengths`] of the pushed prefix, from
+    /// running sums.
+    fn key(&self) -> (usize, usize) {
+        if self.pushed.is_empty() {
+            return (1, 1);
+        }
+        let n = self.pushed.len() as f64;
+        let (avg_in, avg_out) = (self.sums.0 as f64 / n, self.sums.1 as f64 / n);
+        (
+            (avg_in.round() as usize).max(1),
+            (avg_out.round() as usize).max(1),
+        )
+    }
+
+    /// Bring the tandem queue up to date with the pushed prefix.
+    fn evaluate(&mut self) -> &Tandem {
+        let key = self.key();
+        if self.tandem.as_ref().is_none_or(|t| t.key != key) {
+            let (avg_in, avg_out) = key;
+            let split = self
+                .eng
+                .best_split(avg_in, avg_out)
+                .unwrap_or_else(|e| panic!("disagg run impossible: {e:?}"));
+            // Recover the per-token rates behind the split's rps figures.
+            let prefill_tok_rate = split.prefill_rps * avg_in as f64;
+            let step_rate = 1.0 / split.est_tpot_s;
+            let xfer = (split.est_ttft_s - avg_in as f64 / prefill_tok_rate).max(0.0);
+            self.tandem = Some(Tandem {
+                key,
+                label: format!(
+                    "disagg {}p{}+{}d{}",
+                    split.prefill_gpus,
+                    split.prefill_config,
+                    split.decode_gpus,
+                    split.decode_config
+                ),
+                split,
+                prefill_tok_rate,
+                step_rate,
+                xfer,
+                prefill_free: 0.0,
+                decode_free: 0.0,
+                prefill_busy: 0.0,
+                decode_busy: 0.0,
+                kv_bytes_total: 0,
+                timeline: Vec::with_capacity(self.pushed.len()),
+            });
+        }
+        let kv_bytes_per_token = self.eng.model.kv_bytes_per_token();
+        let q = self.tandem.as_mut().expect("tandem just built");
+        for r in &self.pushed[q.timeline.len()..] {
+            let t_p = r.input_len as f64 / q.prefill_tok_rate;
+            let p_start = r.arrival_s.max(q.prefill_free);
+            let p_done = p_start + t_p;
+            q.prefill_free = p_done;
+            q.prefill_busy += t_p;
+
+            // The decode slot includes the KV handoff (exactly how
+            // `decode_rps` accounts it); the first token lands one
+            // decode step after the handoff completes.
+            let t_d = q.xfer + r.output_len as f64 / q.step_rate;
+            let d_start = p_done.max(q.decode_free);
+            q.decode_free = d_start + t_d;
+            q.decode_busy += t_d;
+            q.kv_bytes_total += kv_bytes_per_token * r.input_len as u64;
+            q.timeline.push(RequestTiming {
+                id: r.id,
+                arrival_s: r.arrival_s,
+                first_token_s: d_start + q.xfer + 1.0 / q.step_rate,
+                completion_s: d_start + t_d,
+                output_len: r.output_len,
+                attempts: 1,
+            });
+        }
+        q
+    }
+}
+
+impl EngineRun for DisaggRun {
+    fn push(&mut self, req: Request) {
+        assert!(
+            req.arrival_s >= self.horizon,
+            "push at {} precedes the run's horizon {}",
+            req.arrival_s,
+            self.horizon
         );
-        if requests.is_empty() {
+        self.horizon = req.arrival_s;
+        self.sums.0 += req.input_len as u64;
+        self.sums.1 += req.output_len as u64;
+        self.pushed.push(req);
+    }
+
+    /// Closed-form: nothing to execute ahead of a query.
+    fn advance_to(&mut self, t: f64) {
+        self.horizon = self.horizon.max(t);
+    }
+
+    fn progress_at(&mut self, t: f64) -> Progress {
+        self.advance_to(t);
+        self.last_query = t;
+        let q = self.evaluate();
+        // A single-token request's first token and completion are the
+        // same instant up to rounding; counting a completion as a
+        // first token keeps `completed <= first_tokens`.
+        Progress {
+            first_tokens: q
+                .timeline
+                .partition_point(|e| e.first_token_s.min(e.completion_s) <= t),
+            completed: q.timeline.partition_point(|e| e.completion_s <= t),
+        }
+    }
+
+    fn drain_unfinished(&self) -> Vec<Unfinished> {
+        let mut fork = self.clone();
+        let t = self.last_query;
+        let q = fork.evaluate();
+        let from = q.timeline.partition_point(|e| e.completion_s <= t);
+        q.timeline[from..]
+            .iter()
+            .map(|e| Unfinished {
+                id: e.id,
+                first_token_s: e.first_token_s,
+                completion_s: e.completion_s,
+            })
+            .collect()
+    }
+
+    fn finish(mut self: Box<Self>) -> EngineReport {
+        self.evaluate();
+        let q = self.tandem.take().expect("evaluated");
+        if self.pushed.is_empty() {
             return EngineReport {
-                label,
-                stats: RunStats::from_requests(requests, 0.0),
+                label: q.label,
+                stats: RunStats::from_requests(&self.pushed, 0.0),
                 prefill_wall_s: 0.0,
                 decode_wall_s: 0.0,
                 mixed_wall_s: 0.0,
@@ -227,65 +413,31 @@ impl DisaggEngine {
                 latency: None,
             };
         }
-
-        // Recover the per-token rates behind the split's rps figures.
-        let prefill_tok_rate = split.prefill_rps * avg_in as f64;
-        let step_rate = 1.0 / split.est_tpot_s;
-        let xfer = (split.est_ttft_s - avg_in as f64 / prefill_tok_rate).max(0.0);
-
-        let mut prefill_free = 0.0_f64;
-        let mut decode_free = 0.0_f64;
-        let mut prefill_busy = 0.0_f64;
-        let mut decode_busy = 0.0_f64;
-        let mut kv_bytes_total = 0u64;
-        let mut timeline: Vec<RequestTiming> = Vec::with_capacity(requests.len());
-        for r in requests {
-            let t_p = r.input_len as f64 / prefill_tok_rate;
-            let p_start = r.arrival_s.max(prefill_free);
-            let p_done = p_start + t_p;
-            prefill_free = p_done;
-            prefill_busy += t_p;
-
-            // The decode slot includes the KV handoff (exactly how
-            // `decode_rps` accounts it); the first token lands one
-            // decode step after the handoff completes.
-            let t_d = xfer + r.output_len as f64 / step_rate;
-            let d_start = p_done.max(decode_free);
-            decode_free = d_start + t_d;
-            decode_busy += t_d;
-            kv_bytes_total += self.model.kv_bytes_per_token() * r.input_len as u64;
-            timeline.push(RequestTiming {
-                id: r.id,
-                arrival_s: r.arrival_s,
-                first_token_s: d_start + xfer + 1.0 / step_rate,
-                completion_s: d_start + t_d,
-                output_len: r.output_len,
-                attempts: 1,
-            });
-        }
+        let mut timeline = q.timeline;
         timeline.sort_by_key(|t| t.id);
         let duration = timeline
             .iter()
             .map(|t| t.completion_s)
             .fold(0.0_f64, f64::max);
-        let n = self.cluster.num_gpus as f64;
+        let n = self.eng.cluster.num_gpus as f64;
         let gpu_utilization = if duration > 0.0 {
-            (prefill_busy * split.prefill_gpus as f64 + decode_busy * split.decode_gpus as f64)
+            (q.prefill_busy * q.split.prefill_gpus as f64
+                + q.decode_busy * q.split.decode_gpus as f64)
                 / (duration * n)
         } else {
             0.0
         };
         let latency = LatencyStats::from_timeline(&timeline);
         EngineReport {
-            label,
-            stats: RunStats::from_requests(requests, duration),
-            prefill_wall_s: prefill_busy,
-            decode_wall_s: decode_busy,
+            label: q.label,
+            stats: RunStats::from_requests(&self.pushed, duration),
+            prefill_wall_s: q.prefill_busy,
+            decode_wall_s: q.decode_busy,
             mixed_wall_s: 0.0,
             reshard_wall_s: 0.0,
             transitions: 0,
-            swap_out_bytes: kv_bytes_total,
-            swap_in_bytes: kv_bytes_total,
+            swap_out_bytes: q.kv_bytes_total,
+            swap_in_bytes: q.kv_bytes_total,
             phases: Vec::new(),
             gpu_utilization: gpu_utilization.min(1.0),
             timeline,
@@ -297,6 +449,10 @@ impl DisaggEngine {
 impl OnlineEngine for DisaggEngine {
     fn label(&self) -> String {
         "disagg(auto-split)".into()
+    }
+
+    fn begin(&self) -> Box<dyn EngineRun> {
+        Box::new(DisaggRun::new(self.clone()))
     }
 
     fn run(&self, requests: &[Request]) -> EngineReport {
@@ -499,6 +655,40 @@ mod tests {
             report.throughput_rps(),
             split.combined_rps()
         );
+    }
+
+    /// Disagg is not causal: a decode-heavy head sizes a different
+    /// split than the whole stream once a prefill-heavy tail joins.
+    /// Its run answers state queries by prefix evaluation, so the
+    /// stepper still matches the prefix replay at the head, and the
+    /// finished run matches the full-stream run.
+    #[test]
+    fn state_queries_evaluate_the_prefix_when_the_split_shifts() {
+        use crate::online::OnlineEngine;
+        use crate::stepper::live_state;
+        let eng = DisaggEngine::new(ClusterSpec::a100x8_nvlink(), presets::llama2_13b());
+        let reqs: Vec<Request> = (0..12u64)
+            .map(|i| {
+                let (input, output) = if i < 4 { (64, 1024) } else { (6000, 8) };
+                Request::new(i, input, output).with_arrival(i as f64 * 0.5)
+            })
+            .collect();
+        let head = &reqs[..4];
+        let (prefix_run, full_run) = (eng.run(head), eng.run(&reqs));
+        assert_ne!(
+            prefix_run.label, full_run.label,
+            "the head sizes a different split"
+        );
+        let mut stepper = eng.start(0.0);
+        for r in head {
+            stepper.push(*r);
+        }
+        let t = head[3].arrival_s;
+        assert_eq!(stepper.state_at(t), live_state(&prefix_run, t));
+        for r in &reqs[4..] {
+            stepper.push(*r);
+        }
+        assert_eq!(stepper.finish(), full_run);
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub mod sweep;
 pub mod timing;
 pub mod vllm;
 
-pub use online::{OnlineEngine, ServiceRates};
+pub use online::{EngineRun, OnlineEngine, Progress, ServiceRates, Unfinished};
 pub use report::{EngineReport, Phase, PhaseSpan};
-pub use stepper::{live_state, EngineStepper, LiveState};
+pub use stepper::{live_state, EngineStepper, LiveCounts, LiveState};
 pub use sweep::{SweepResult, SweepRunner};
 pub use timing::TimingRecorder;
 

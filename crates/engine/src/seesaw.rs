@@ -26,8 +26,9 @@ use crate::cluster_sim::ClusterSim;
 use crate::driver::{
     assert_arrivals_sorted, submit_decode_burst, submit_prefill_batch, Replica, RunSeq,
 };
+use crate::online::{Deferred, EngineRun, Progress, Unfinished};
 use crate::report::{EngineReport, Phase, PhaseSpan};
-use crate::timing::TimingRecorder;
+use crate::timing::{ProgressTracker, TimingRecorder};
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_kv::{BufferedSeq, CpuKvBuffer, KvLayout, PagedKvCache, SwapSizer};
 use seesaw_model::ModelConfig;
@@ -130,8 +131,9 @@ impl SeesawSpec {
 ///
 /// Holds `Arc`-shared spec handles: every run (and its `ClusterSim` /
 /// `Roofline`) borrows the same allocations instead of deep-cloning
-/// the cluster and model per simulation.
-#[derive(Debug)]
+/// the cluster and model per simulation. `Clone` is as cheap (a run
+/// keeps its own handle, so it can outlive the engine borrow).
+#[derive(Debug, Clone)]
 pub struct SeesawEngine {
     cluster: Arc<ClusterSpec>,
     model: Arc<ModelConfig>,
@@ -194,15 +196,24 @@ impl SeesawEngine {
     }
 
     fn run_impl(&self, requests: &[Request], traced: bool) -> (EngineReport, TraceSummary) {
-        let mut st = SeesawRun::new(self, requests, traced);
-        st.run();
-        st.finish(requests, self.spec.label())
+        assert_arrivals_sorted(requests);
+        let mut st = SeesawRun::new(self.clone(), traced);
+        st.reserve(requests.len());
+        for req in requests {
+            st.push(*req);
+        }
+        st.finish_traced()
     }
 }
 
 impl crate::online::OnlineEngine for SeesawEngine {
     fn label(&self) -> String {
         self.spec.label()
+    }
+
+    fn begin(&self) -> Box<dyn EngineRun> {
+        let eng = self.clone();
+        Deferred::boxed(move || SeesawRun::new(eng.clone(), false))
     }
 
     fn run(&self, requests: &[Request]) -> EngineReport {
@@ -251,8 +262,29 @@ struct PendingSwapIn {
     ready: TaskHandle,
 }
 
-struct SeesawRun<'a> {
-    eng: &'a SeesawEngine,
+/// Where a paused run resumes (see [`EngineRun`]). Only the prefill
+/// phase reads the request stream — admission against the clock, and
+/// the "anything left?" tests around it — so only its loop is split
+/// into re-entrant stages; re-sharding and the decode phase never
+/// consult the stream and run through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Enter a prefill phase (config `c_p`).
+    PrefillStart,
+    /// One admission round of the prefill phase.
+    Prefill,
+    /// Prefill phase over: decode what was buffered, or idle.
+    AfterPrefill,
+    /// Decode phase over: stop, or re-shard back to prefill.
+    AfterDecode,
+    /// Nothing buffered, nothing admissible: idle until the head
+    /// request arrives.
+    Idle,
+}
+
+#[derive(Clone)]
+struct SeesawRun {
+    eng: SeesawEngine,
     cs: ClusterSim,
     rl: Roofline,
     replicas: Vec<Replica>,
@@ -273,11 +305,29 @@ struct SeesawRun<'a> {
     /// Reusable part buffers for the per-sequence swap chains.
     scratch_a: Vec<TaskHandle>,
     scratch_b: Vec<TaskHandle>,
+    /// Pushed requests and their token totals (for the run stats).
+    pushed: (usize, u64, u64),
+    /// Latest push arrival or advance time (see [`EngineRun`]).
+    horizon: f64,
+    /// No more pushes: every gate opens.
+    closed: bool,
+    /// The loop has terminated.
+    done: bool,
+    stage: Stage,
+    // Prefill-phase state, live across pauses.
+    /// Swap-outs in flight per DP replica.
+    pending: Vec<Vec<PendingSwapOut>>,
+    /// Prefill batch joins in flight (at most two).
+    outstanding: VecDeque<TaskHandle>,
+    /// When the current prefill phase started.
+    t_phase: SimTime,
+    /// Whether the current prefill phase buffered any sequence.
+    buffered_any: bool,
+    progress: ProgressTracker,
 }
 
-impl<'a> SeesawRun<'a> {
-    fn new(eng: &'a SeesawEngine, requests: &[Request], traced: bool) -> Self {
-        assert_arrivals_sorted(requests);
+impl SeesawRun {
+    fn new(eng: SeesawEngine, traced: bool) -> Self {
         let dp = eng.spec.prefill.dp;
         let cs = if traced {
             ClusterSim::with_trace(Arc::clone(&eng.cluster))
@@ -294,16 +344,18 @@ impl<'a> SeesawRun<'a> {
         let buffers = (0..dp)
             .map(|_| CpuKvBuffer::new(total_buffer_tokens / dp as u64))
             .collect();
+        let sizer_p = SwapSizer::new(&eng.model, eng.spec.prefill, eng.spec.layout);
+        let sizer_d = SwapSizer::new(&eng.model, eng.spec.decode, eng.spec.layout);
         SeesawRun {
             eng,
             cs,
             rl,
             replicas,
             buffers,
-            waiting: requests.iter().copied().collect(),
-            meta: RequestMap::new(requests),
-            sizer_p: SwapSizer::new(&eng.model, eng.spec.prefill, eng.spec.layout),
-            sizer_d: SwapSizer::new(&eng.model, eng.spec.decode, eng.spec.layout),
+            waiting: VecDeque::new(),
+            meta: RequestMap::new(&[]),
+            sizer_p,
+            sizer_d,
             completed: 0,
             prefill_wall: 0.0,
             decode_wall: 0.0,
@@ -312,10 +364,25 @@ impl<'a> SeesawRun<'a> {
             swap_out_bytes: 0,
             swap_in_bytes: 0,
             phases: Vec::new(),
-            rec: TimingRecorder::with_capacity(requests.len()),
+            rec: TimingRecorder::new(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
+            pushed: (0, 0, 0),
+            horizon: f64::NEG_INFINITY,
+            closed: false,
+            done: false,
+            stage: Stage::PrefillStart,
+            pending: vec![Vec::new(); dp],
+            outstanding: VecDeque::new(),
+            t_phase: SimTime::ZERO,
+            buffered_any: false,
+            progress: ProgressTracker::default(),
         }
+    }
+
+    fn reserve(&mut self, n: usize) {
+        self.waiting.reserve(n);
+        self.rec.reserve(n);
     }
 
     fn record_phase(&mut self, phase: Phase, start_s: f64) {
@@ -325,26 +392,64 @@ impl<'a> SeesawRun<'a> {
         }
     }
 
-    fn run(&mut self) {
-        // The model is initially loaded in the prefill sharding.
-        loop {
-            let buffered_any = self.prefill_phase();
-            if buffered_any {
-                self.reshard(self.eng.spec.prefill, self.eng.spec.decode);
-                self.decode_phase();
-                if self.waiting.is_empty() {
-                    break;
+    /// Whether the stream is exhausted: `None` while that depends on
+    /// pushes to come.
+    fn stream_done(&self) -> Option<bool> {
+        if !self.waiting.is_empty() {
+            Some(false)
+        } else if self.closed {
+            Some(true)
+        } else {
+            None
+        }
+    }
+
+    /// Run the phase machine until it terminates or pauses.
+    ///
+    /// ```text
+    /// loop {
+    ///     prefill phase;
+    ///     if it buffered anything {
+    ///         reshard c_p -> c_d; decode phase;
+    ///         if no requests remain { stop }
+    ///         reshard c_d -> c_p
+    ///     } else if no requests remain { stop }
+    ///     else { idle until the next arrival }
+    /// }
+    /// ```
+    /// The model is initially loaded in the prefill sharding.
+    fn resume(&mut self) {
+        while !self.done {
+            match self.stage {
+                Stage::PrefillStart => self.begin_prefill_phase(),
+                Stage::Prefill => {
+                    if !self.prefill_round() {
+                        return;
+                    }
                 }
-                self.reshard(self.eng.spec.decode, self.eng.spec.prefill);
-            } else if self.waiting.is_empty() {
-                break;
-            } else {
-                // Nothing buffered and nothing admissible: only
-                // future arrivals remain, so the cluster idles until
-                // the next one. (Offline, buffered_any == false with
-                // waiting non-empty cannot occur: prefill always
-                // makes progress or panics.)
-                self.wait_for_next_arrival();
+                Stage::AfterPrefill if self.buffered_any => {
+                    self.reshard(self.eng.spec.prefill, self.eng.spec.decode);
+                    self.decode_phase();
+                    self.stage = Stage::AfterDecode;
+                }
+                Stage::AfterPrefill | Stage::AfterDecode => match self.stream_done() {
+                    None => return,
+                    Some(true) => self.done = true,
+                    Some(false) if self.stage == Stage::AfterDecode => {
+                        self.reshard(self.eng.spec.decode, self.eng.spec.prefill);
+                        self.stage = Stage::PrefillStart;
+                    }
+                    // Nothing buffered and nothing admissible: only
+                    // future arrivals remain, so the cluster idles
+                    // until the next one. (Offline, nothing buffered
+                    // with requests waiting cannot occur: prefill
+                    // always makes progress or panics.)
+                    Some(false) => self.stage = Stage::Idle,
+                },
+                Stage::Idle => {
+                    self.wait_for_next_arrival();
+                    self.stage = Stage::PrefillStart;
+                }
             }
         }
     }
@@ -367,12 +472,10 @@ impl<'a> SeesawRun<'a> {
     // Prefill phase (config c_p)
     // ------------------------------------------------------------------
 
-    /// Run prefill until the CPU buffer is full or no prompts remain.
-    /// Returns whether any sequences were buffered for decoding.
-    #[allow(clippy::needless_range_loop)] // replica index addresses several parallel arrays
-    fn prefill_phase(&mut self) -> bool {
+    /// Enter a prefill phase: it runs until the CPU buffer is full or
+    /// no prompts remain, and records whether it buffered anything.
+    fn begin_prefill_phase(&mut self) {
         let cfg = self.eng.spec.prefill;
-        let dp = cfg.dp;
         for rep in &mut self.replicas {
             rep.kv = PagedKvCache::new(
                 self.eng.plan_p.kv_tokens_per_replica,
@@ -380,173 +483,191 @@ impl<'a> SeesawRun<'a> {
             );
             rep.reset_tails(cfg.pp);
         }
-        let mut pending: Vec<Vec<PendingSwapOut>> = vec![Vec::new(); dp];
-        let mut outstanding: VecDeque<TaskHandle> = VecDeque::new();
-        let t_phase = self.cs.now();
-        let mut buffered_any = false;
+        debug_assert!(self.pending.iter().all(|p| p.is_empty()) && self.outstanding.is_empty());
+        self.t_phase = self.cs.now();
+        self.buffered_any = false;
+        self.stage = Stage::Prefill;
+    }
 
-        loop {
-            // Without the async pipeline, swap-outs serialize with
-            // compute: drain them before scheduling more prefill.
-            if !self.eng.spec.overlap {
-                let drains: Vec<TaskHandle> = pending
-                    .iter()
-                    .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
-                    .collect();
-                for h in drains {
-                    self.cs.sim.run_until(h);
-                }
-            }
-            // Reclaim GPU KV from completed swap-outs.
-            for d in 0..dp {
-                let mut i = 0;
-                while i < pending[d].len() {
-                    if self.cs.sim.completed(pending[d][i].vacate) {
-                        let p = pending[d].swap_remove(i);
-                        self.replicas[d].kv.free(p.id).expect("resident");
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-
-            // Admission: GPU KV must fit the prompt, CPU buffer must
-            // have room for its eventual KV.
-            let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
-            let mut budget = vec![MAX_PREFILL_TOKENS; dp];
-            let mut buffer_full = false;
-            let mut arrivals_pending = false;
-            while let Some(&req) = self.waiting.front() {
-                // Online serving: requests become schedulable only
-                // once their arrival time has passed. (Offline
-                // arrival_s == 0.0 never trips this.)
-                if req.arrival_s > self.cs.now().as_secs() {
-                    arrivals_pending = true;
-                    break;
-                }
-                let mut best: Option<usize> = None;
-                for d in 0..dp {
-                    if budget[d] >= req.input_len
-                        && self.replicas[d].kv.can_fit(req.input_len)
-                        && self.buffers[d].can_fit(req.input_len)
-                    {
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                self.buffers[d].capacity_tokens() - self.buffers[d].used_tokens()
-                                    > self.buffers[b].capacity_tokens()
-                                        - self.buffers[b].used_tokens()
-                            }
-                        };
-                        if better {
-                            best = Some(d);
-                        }
-                    }
-                }
-                let Some(d) = best else {
-                    buffer_full = (0..dp)
-                        .all(|d| !self.buffers[d].can_fit(req.input_len));
-                    if buffer_full && self.buffers.iter().all(|b| b.is_empty()) {
-                        panic!(
-                            "prompt {} ({} tokens) exceeds the CPU KV buffer capacity ({} tokens)",
-                            req.id,
-                            req.input_len,
-                            self.buffers[0].capacity_tokens()
-                        );
-                    }
-                    break;
-                };
-                self.waiting.pop_front();
-                self.replicas[d]
-                    .kv
-                    .allocate(req.id, req.input_len)
-                    .expect("can_fit checked");
-                if req.output_len > 1 {
-                    // Reserve buffer capacity now; the swap tasks that
-                    // physically fill it are submitted after the pass.
-                    let ok = self.buffers[d].push(BufferedSeq {
-                        req_id: req.id,
-                        tokens: req.input_len,
-                        output_len: req.output_len,
-                    });
-                    assert!(ok, "can_fit checked");
-                }
-                admitted[d].push((req.id, req.input_len));
-                budget[d] -= req.input_len;
-            }
-
-            let nothing_admitted = admitted.iter().all(|a| a.is_empty());
-            if nothing_admitted {
-                if buffer_full || self.waiting.is_empty() || arrivals_pending {
-                    // Phase over. With arrivals pending the outer
-                    // loop decodes whatever was buffered (or idles
-                    // until the next arrival if nothing was).
-                    break;
-                }
-                // GPU KV is the bottleneck: wait for the oldest
-                // swap-out to vacate space.
-                let oldest = (0..dp)
-                    .filter_map(|d| pending[d].first().map(|p| p.vacate))
-                    .next();
-                match oldest {
-                    Some(h) => {
-                        self.cs.sim.run_until(h);
-                        continue;
-                    }
-                    None => panic!(
-                        "prefill stalled: prompt {} does not fit GPU KV ({} tokens)",
-                        self.waiting.front().expect("non-empty").input_len,
-                        self.replicas[0].kv.capacity_tokens()
-                    ),
-                }
-            }
-
-            // Run the prefill passes and attach swap-outs.
-            let mut joins = Vec::new();
-            for d in 0..dp {
-                if admitted[d].is_empty() {
-                    continue;
-                }
-                let parts = submit_prefill_batch(
-                    &mut self.cs,
-                    &self.rl,
-                    cfg,
-                    &mut self.replicas[d],
-                    &admitted[d],
-                );
-                for (pass, ids) in parts {
-                    joins.push(pass);
-                    for id in ids {
-                        let req = self.meta.req(id);
-                        // The pass exit emits the slot's first tokens
-                        // (and finishes single-token requests).
-                        self.rec.first_token(id, pass);
-                        if req.output_len <= 1 {
-                            self.rec.completed(id, pass);
-                        }
-                        let p = self.submit_swap_out(d, id, req, pass);
-                        if p.buffered.is_some() {
-                            buffered_any = true;
-                        }
-                        pending[d].push(p);
-                    }
-                }
-            }
-            // Keep two batch joins in flight so pipeline stages stay
-            // busy across batch boundaries.
-            let join = self.cs.join(&joins);
-            outstanding.push_back(join);
-            if outstanding.len() >= 2 {
-                let oldest = outstanding.pop_front().expect("non-empty");
-                self.cs.sim.run_until(oldest);
+    /// One admission round of the prefill phase. Returns `false` when
+    /// paused at the admission gate: a stream still open may yet
+    /// deliver a request arriving by now. The work before the gate
+    /// (draining and reclaiming finished swap-outs) is idempotent, so
+    /// re-entering the round after a pause is exact.
+    #[allow(clippy::needless_range_loop)] // replica index addresses several parallel arrays
+    fn prefill_round(&mut self) -> bool {
+        let cfg = self.eng.spec.prefill;
+        let dp = cfg.dp;
+        // Without the async pipeline, swap-outs serialize with
+        // compute: drain them before scheduling more prefill.
+        if !self.eng.spec.overlap {
+            let drains: Vec<TaskHandle> = self
+                .pending
+                .iter()
+                .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
+                .collect();
+            for h in drains {
+                self.cs.sim.run_until(h);
             }
         }
-        while let Some(j) = outstanding.pop_front() {
+        // Reclaim GPU KV from completed swap-outs.
+        for d in 0..dp {
+            let mut i = 0;
+            while i < self.pending[d].len() {
+                if self.cs.sim.completed(self.pending[d][i].vacate) {
+                    let p = self.pending[d].swap_remove(i);
+                    self.replicas[d].kv.free(p.id).expect("resident");
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if !(self.closed || self.cs.now().as_secs() < self.horizon) {
+            return false;
+        }
+
+        // Admission: GPU KV must fit the prompt, CPU buffer must
+        // have room for its eventual KV.
+        let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
+        let mut budget = vec![MAX_PREFILL_TOKENS; dp];
+        let mut buffer_full = false;
+        let mut arrivals_pending = false;
+        while let Some(&req) = self.waiting.front() {
+            // Online serving: requests become schedulable only
+            // once their arrival time has passed. (Offline
+            // arrival_s == 0.0 never trips this.)
+            if req.arrival_s > self.cs.now().as_secs() {
+                arrivals_pending = true;
+                break;
+            }
+            let mut best: Option<usize> = None;
+            for d in 0..dp {
+                if budget[d] >= req.input_len
+                    && self.replicas[d].kv.can_fit(req.input_len)
+                    && self.buffers[d].can_fit(req.input_len)
+                {
+                    let better = match best {
+                        None => true,
+                        Some(b) => {
+                            self.buffers[d].capacity_tokens() - self.buffers[d].used_tokens()
+                                > self.buffers[b].capacity_tokens() - self.buffers[b].used_tokens()
+                        }
+                    };
+                    if better {
+                        best = Some(d);
+                    }
+                }
+            }
+            let Some(d) = best else {
+                buffer_full = (0..dp).all(|d| !self.buffers[d].can_fit(req.input_len));
+                if buffer_full && self.buffers.iter().all(|b| b.is_empty()) {
+                    panic!(
+                        "prompt {} ({} tokens) exceeds the CPU KV buffer capacity ({} tokens)",
+                        req.id,
+                        req.input_len,
+                        self.buffers[0].capacity_tokens()
+                    );
+                }
+                break;
+            };
+            self.waiting.pop_front();
+            self.replicas[d]
+                .kv
+                .allocate(req.id, req.input_len)
+                .expect("can_fit checked");
+            if req.output_len > 1 {
+                // Reserve buffer capacity now; the swap tasks that
+                // physically fill it are submitted after the pass.
+                let ok = self.buffers[d].push(BufferedSeq {
+                    req_id: req.id,
+                    tokens: req.input_len,
+                    output_len: req.output_len,
+                });
+                assert!(ok, "can_fit checked");
+            }
+            admitted[d].push((req.id, req.input_len));
+            budget[d] -= req.input_len;
+        }
+
+        let nothing_admitted = admitted.iter().all(|a| a.is_empty());
+        if nothing_admitted {
+            // An empty queue ends the phase whether or not the stream
+            // is open: any later push arrives after now (the gate).
+            if buffer_full || self.waiting.is_empty() || arrivals_pending {
+                // Phase over. With arrivals pending the outer
+                // loop decodes whatever was buffered (or idles
+                // until the next arrival if nothing was).
+                self.end_prefill_phase();
+                return true;
+            }
+            // GPU KV is the bottleneck: wait for the oldest
+            // swap-out to vacate space.
+            let oldest = (0..dp)
+                .filter_map(|d| self.pending[d].first().map(|p| p.vacate))
+                .next();
+            match oldest {
+                Some(h) => {
+                    self.cs.sim.run_until(h);
+                    return true;
+                }
+                None => panic!(
+                    "prefill stalled: prompt {} does not fit GPU KV ({} tokens)",
+                    self.waiting.front().expect("non-empty").input_len,
+                    self.replicas[0].kv.capacity_tokens()
+                ),
+            }
+        }
+
+        // Run the prefill passes and attach swap-outs.
+        let mut joins = Vec::new();
+        for d in 0..dp {
+            if admitted[d].is_empty() {
+                continue;
+            }
+            let parts = submit_prefill_batch(
+                &mut self.cs,
+                &self.rl,
+                cfg,
+                &mut self.replicas[d],
+                &admitted[d],
+            );
+            for (pass, ids) in parts {
+                joins.push(pass);
+                for id in ids {
+                    let req = self.meta.req(id);
+                    // The pass exit emits the slot's first tokens
+                    // (and finishes single-token requests).
+                    self.rec.first_token(id, pass);
+                    if req.output_len <= 1 {
+                        self.rec.completed(id, pass);
+                    }
+                    let p = self.submit_swap_out(d, id, req, pass);
+                    if p.buffered.is_some() {
+                        self.buffered_any = true;
+                    }
+                    self.pending[d].push(p);
+                }
+            }
+        }
+        // Keep two batch joins in flight so pipeline stages stay
+        // busy across batch boundaries.
+        let join = self.cs.join(&joins);
+        self.outstanding.push_back(join);
+        if self.outstanding.len() >= 2 {
+            let oldest = self.outstanding.pop_front().expect("non-empty");
+            self.cs.sim.run_until(oldest);
+        }
+        true
+    }
+
+    /// Close the prefill phase: drain in-flight batches and every
+    /// swap-out before transitioning.
+    fn end_prefill_phase(&mut self) {
+        while let Some(j) = self.outstanding.pop_front() {
             self.cs.sim.run_until(j);
         }
-
-        // Drain every swap-out before transitioning.
-        let handles: Vec<TaskHandle> = pending
+        let handles: Vec<TaskHandle> = self
+            .pending
             .iter()
             .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
             .collect();
@@ -554,15 +675,15 @@ impl<'a> SeesawRun<'a> {
             let join = self.cs.join(&handles);
             self.cs.sim.run_until(join);
         }
-        for d in 0..dp {
-            for p in pending[d].drain(..) {
-                self.replicas[d].kv.free(p.id).expect("resident");
+        for (rep, pending) in self.replicas.iter_mut().zip(&mut self.pending) {
+            for p in pending.drain(..) {
+                rep.kv.free(p.id).expect("resident");
             }
         }
         // Attribute the whole phase's wall clock (incl. drain) to prefill.
-        self.prefill_wall += self.cs.now() - t_phase;
-        self.record_phase(Phase::Prefill, t_phase.as_secs());
-        buffered_any
+        self.prefill_wall += self.cs.now() - self.t_phase;
+        self.record_phase(Phase::Prefill, self.t_phase.as_secs());
+        self.stage = Stage::AfterPrefill;
     }
 
     /// Submit the swap-out chain for one prefilled sequence: per-GPU
@@ -778,17 +899,20 @@ impl<'a> SeesawRun<'a> {
         self.record_phase(Phase::Reshard, t0.as_secs());
     }
 
-    fn finish(mut self, requests: &[Request], label: String) -> (EngineReport, TraceSummary) {
+    fn finish_traced(mut self) -> (EngineReport, TraceSummary) {
+        self.closed = true;
+        self.resume();
         let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, requests.len(), "all requests must finish");
+        let (requests, input_tokens, output_tokens) = self.pushed;
+        assert_eq!(self.completed, requests, "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
         let timeline =
             std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
-            label,
-            stats: RunStats::from_requests(requests, end.as_secs()),
+            label: self.eng.spec.label(),
+            stats: RunStats::from_totals(requests, input_tokens, output_tokens, end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
             mixed_wall_s: 0.0,
@@ -802,6 +926,46 @@ impl<'a> SeesawRun<'a> {
             latency,
         };
         (report, trace_summary)
+    }
+}
+
+impl EngineRun for SeesawRun {
+    fn push(&mut self, req: Request) {
+        assert!(!self.closed, "push into a finished run");
+        assert!(
+            req.arrival_s >= self.horizon,
+            "push at {} precedes the run's horizon {}",
+            req.arrival_s,
+            self.horizon
+        );
+        self.horizon = req.arrival_s;
+        self.meta.insert(req);
+        self.waiting.push_back(req);
+        self.pushed.0 += 1;
+        self.pushed.1 += req.input_len as u64;
+        self.pushed.2 += req.output_len as u64;
+    }
+
+    fn advance_to(&mut self, t: f64) {
+        self.horizon = self.horizon.max(t);
+        self.resume();
+    }
+
+    fn progress_at(&mut self, t: f64) -> Progress {
+        self.advance_to(t);
+        self.progress.count(&self.rec, &self.cs.sim, t)
+    }
+
+    fn drain_unfinished(&self) -> Vec<Unfinished> {
+        let mut fork = self.clone();
+        fork.closed = true;
+        fork.resume();
+        fork.cs.sim.run_until_idle();
+        fork.progress.unfinished(&fork.rec, &fork.cs.sim)
+    }
+
+    fn finish(self: Box<Self>) -> EngineReport {
+        self.finish_traced().0
     }
 }
 

@@ -13,9 +13,9 @@ use crate::driver::{
     assert_arrivals_sorted, submit_decode_burst, submit_mixed_round, submit_prefill_batch,
     Replica, RunSeq,
 };
-use crate::online::{OnlineEngine, ServiceRates};
+use crate::online::{Deferred, EngineRun, OnlineEngine, Progress, ServiceRates, Unfinished};
 use crate::report::EngineReport;
-use crate::timing::TimingRecorder;
+use crate::timing::{ProgressTracker, TimingRecorder};
 use crate::SchedulingPolicy;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
@@ -37,8 +37,9 @@ const MAX_PREFILL_TOKENS: usize = 16384;
 ///
 /// Holds `Arc`-shared spec handles: every run (and its `ClusterSim` /
 /// `Roofline`) borrows the same allocations instead of deep-cloning
-/// the cluster and model per simulation.
-#[derive(Debug)]
+/// the cluster and model per simulation. `Clone` is as cheap (a run
+/// keeps its own handle, so it can outlive the engine borrow).
+#[derive(Debug, Clone)]
 pub struct VllmEngine {
     cluster: Arc<ClusterSpec>,
     model: Arc<ModelConfig>,
@@ -48,7 +49,7 @@ pub struct VllmEngine {
 }
 
 /// A submitted-but-not-yet-integrated prefill batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InflightPrefill {
     join: TaskHandle,
     admitted: Vec<Vec<(u64, usize)>>,
@@ -108,19 +109,24 @@ impl VllmEngine {
     }
 
     fn run_impl(&self, requests: &[Request], traced: bool) -> (EngineReport, TraceSummary) {
-        let mut st = RunState::new(self, requests, traced);
-        match self.policy {
-            SchedulingPolicy::PrefillPrioritized => st.run_prefill_prioritized(),
-            SchedulingPolicy::DecodePrioritized => st.run_decode_prioritized(),
-            SchedulingPolicy::ChunkedPrefill { chunk_tokens } => st.run_chunked(chunk_tokens),
+        assert_arrivals_sorted(requests);
+        let mut st = RunState::new(self.clone(), traced);
+        st.reserve(requests.len());
+        for req in requests {
+            st.push(*req);
         }
-        st.finish(requests, self.label())
+        st.finish_traced()
     }
 }
 
 impl OnlineEngine for VllmEngine {
     fn label(&self) -> String {
         VllmEngine::label(self)
+    }
+
+    fn begin(&self) -> Box<dyn EngineRun> {
+        let eng = self.clone();
+        Deferred::boxed(move || RunState::new(eng.clone(), false))
     }
 
     fn run(&self, requests: &[Request]) -> EngineReport {
@@ -145,8 +151,31 @@ impl OnlineEngine for VllmEngine {
     }
 }
 
-struct RunState<'a> {
-    eng: &'a VllmEngine,
+/// Where a paused run resumes. Each policy's loop is a small state
+/// machine over these; every stage either runs to its end or pauses
+/// at a gate *before* its first side effect, so re-entering a stage
+/// is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Loop head: the termination test (chunked: admission).
+    Top,
+    /// One admission round of the pipelined prefill.
+    Prefill,
+    /// After prefill: the termination test, then decode.
+    AfterPrefill,
+    /// Decode-prioritized: decode the batch to completion.
+    Decode,
+    /// Chunked: the termination test, then a mixed or decode round.
+    Check,
+    /// Chunked: nothing decoded; idle if the head is in the future.
+    NoDecode,
+    /// Nothing runnable: idle until the head request arrives.
+    Idle,
+}
+
+#[derive(Clone)]
+struct RunState {
+    eng: VllmEngine,
     cs: ClusterSim,
     rl: Roofline,
     replicas: Vec<Replica>,
@@ -158,11 +187,28 @@ struct RunState<'a> {
     decode_wall: f64,
     mixed_wall: f64,
     rec: TimingRecorder,
+    /// Pushed requests and their token totals (for the run stats).
+    pushed: (usize, u64, u64),
+    /// Latest push arrival or advance time (see [`EngineRun`]).
+    horizon: f64,
+    /// No more pushes: every gate opens.
+    closed: bool,
+    /// The loop has terminated.
+    done: bool,
+    stage: Stage,
+    /// Whether the current iteration prefilled (or decoded, under
+    /// decode-prioritized scheduling).
+    progressed: bool,
+    /// Prefill batches in flight (at most two).
+    outstanding: VecDeque<InflightPrefill>,
+    /// Chunked policy: mixed rounds in flight (at most two).
+    mixed: VecDeque<TaskHandle>,
+    round: usize,
+    progress: ProgressTracker,
 }
 
-impl<'a> RunState<'a> {
-    fn new(eng: &'a VllmEngine, requests: &[Request], traced: bool) -> Self {
-        assert_arrivals_sorted(requests);
+impl RunState {
+    fn new(eng: VllmEngine, traced: bool) -> Self {
         let cs = if traced {
             ClusterSim::with_trace(Arc::clone(&eng.cluster))
         } else {
@@ -172,27 +218,73 @@ impl<'a> RunState<'a> {
         let replicas = (0..eng.cfg.dp)
             .map(|d| Replica::new(d, eng.plan.kv_tokens_per_replica, eng.cfg.pp))
             .collect();
-        let meta = RequestMap::new(requests);
+        let dp = eng.cfg.dp;
         RunState {
             eng,
             cs,
             rl,
             replicas,
-            waiting: requests.iter().copied().collect(),
-            meta,
-            prefilling: vec![VecDeque::new(); eng.cfg.dp],
+            waiting: VecDeque::new(),
+            meta: RequestMap::new(&[]),
+            prefilling: vec![VecDeque::new(); dp],
             completed: 0,
             prefill_wall: 0.0,
             decode_wall: 0.0,
             mixed_wall: 0.0,
-            rec: TimingRecorder::with_capacity(requests.len()),
+            rec: TimingRecorder::new(),
+            pushed: (0, 0, 0),
+            horizon: f64::NEG_INFINITY,
+            closed: false,
+            done: false,
+            stage: Stage::Top,
+            progressed: false,
+            outstanding: VecDeque::new(),
+            mixed: VecDeque::new(),
+            round: 0,
+            progress: ProgressTracker::default(),
         }
     }
 
-    fn all_done(&self) -> bool {
-        self.waiting.is_empty()
-            && self.replicas.iter().all(|r| r.running.is_empty())
-            && self.prefilling.iter().all(|p| p.is_empty())
+    fn reserve(&mut self, n: usize) {
+        self.waiting.reserve(n);
+        self.rec.reserve(n);
+    }
+
+    /// Run the policy's loop until it terminates or pauses at a gate.
+    fn resume(&mut self) {
+        let policy = self.eng.policy;
+        while !self.done {
+            let moved = match policy {
+                SchedulingPolicy::PrefillPrioritized => self.step_prefill_prioritized(),
+                SchedulingPolicy::DecodePrioritized => self.step_decode_prioritized(),
+                SchedulingPolicy::ChunkedPrefill { chunk_tokens } => {
+                    self.step_chunked(chunk_tokens)
+                }
+            };
+            if !moved {
+                break;
+            }
+        }
+    }
+
+    /// Gate for a decision that reads arrivals against the clock:
+    /// every request that can have arrived by now has been pushed.
+    fn may_decide(&self) -> bool {
+        self.closed || self.cs.now().as_secs() < self.horizon
+    }
+
+    /// Termination test: `None` while it depends on pushes to come.
+    fn all_done(&self) -> Option<bool> {
+        if self.replicas.iter().any(|r| !r.running.is_empty())
+            || self.prefilling.iter().any(|p| !p.is_empty())
+            || !self.waiting.is_empty()
+        {
+            Some(false)
+        } else if self.closed {
+            Some(true)
+        } else {
+            None
+        }
     }
 
     /// Idle the cluster until the head request arrives. Only called
@@ -324,31 +416,34 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Admit + prefill with up to two batches in flight, so pipeline
-    /// stages stay busy across batch boundaries (matching vLLM's
-    /// virtual-engine behaviour under PP). Returns whether any prefill
-    /// work happened.
-    fn do_prefill_pipelined(&mut self) -> bool {
-        let mut outstanding: VecDeque<InflightPrefill> = VecDeque::new();
-        let mut any = false;
-        loop {
-            let admitted = self.admit(MAX_PREFILL_TOKENS);
-            match self.submit_prefill(admitted) {
-                Some(batch) => {
-                    any = true;
-                    outstanding.push_back(batch);
-                    if outstanding.len() >= 2 {
-                        let oldest = outstanding.pop_front().expect("non-empty");
-                        self.integrate_prefill(oldest);
-                    }
+    /// One admission round of the pipelined prefill: admit + submit
+    /// with up to two batches in flight, so pipeline stages stay busy
+    /// across batch boundaries (matching vLLM's virtual-engine
+    /// behaviour under PP). Once nothing is admissible, integrates the
+    /// stragglers and moves on to `next`. Returns `false` when paused
+    /// at the admission gate.
+    fn prefill_round(&mut self, next: Stage) -> bool {
+        if !self.may_decide() {
+            return false;
+        }
+        let admitted = self.admit(MAX_PREFILL_TOKENS);
+        match self.submit_prefill(admitted) {
+            Some(batch) => {
+                self.progressed = true;
+                self.outstanding.push_back(batch);
+                if self.outstanding.len() >= 2 {
+                    let oldest = self.outstanding.pop_front().expect("non-empty");
+                    self.integrate_prefill(oldest);
                 }
-                None => break,
+            }
+            None => {
+                while let Some(batch) = self.outstanding.pop_front() {
+                    self.integrate_prefill(batch);
+                }
+                self.stage = next;
             }
         }
-        while let Some(batch) = outstanding.pop_front() {
-            self.integrate_prefill(batch);
-        }
-        any
+        true
     }
 
     /// One decode burst across replicas (each replica uses its own
@@ -389,96 +484,153 @@ impl<'a> RunState<'a> {
         true
     }
 
-    fn run_prefill_prioritized(&mut self) {
-        while !self.all_done() {
-            let prefilled = self.do_prefill_pipelined();
-            if self.all_done() {
-                break;
-            }
-            let decoded = self.do_decode_burst();
-            if !prefilled && !decoded {
-                // Nothing running and nothing admissible: the only
-                // remaining work is a future arrival.
+    /// Prefill eagerly, then one decode burst; idle when neither ran.
+    fn step_prefill_prioritized(&mut self) -> bool {
+        match self.stage {
+            Stage::Top | Stage::AfterPrefill => match self.all_done() {
+                None => return false,
+                Some(true) => self.done = true,
+                Some(false) if self.stage == Stage::Top => {
+                    self.progressed = false;
+                    self.stage = Stage::Prefill;
+                }
+                Some(false) => {
+                    let decoded = self.do_decode_burst();
+                    // Nothing running and nothing admissible: the only
+                    // remaining work is a future arrival.
+                    self.stage = if self.progressed || decoded {
+                        Stage::Top
+                    } else {
+                        Stage::Idle
+                    };
+                }
+            },
+            Stage::Prefill => return self.prefill_round(Stage::AfterPrefill),
+            Stage::Idle => {
                 self.wait_for_next_arrival();
+                self.stage = Stage::Top;
             }
+            other => unreachable!("prefill-prioritized run in stage {other:?}"),
         }
+        true
     }
 
-    fn run_decode_prioritized(&mut self) {
-        while !self.all_done() {
-            // Fill the batch once, then decode it to completion.
-            let mut progressed = self.do_prefill_pipelined();
-            while self.replicas.iter().any(|r| !r.running.is_empty()) {
-                self.do_decode_burst();
-                progressed = true;
+    /// Fill the batch once, then decode it to completion.
+    fn step_decode_prioritized(&mut self) -> bool {
+        match self.stage {
+            Stage::Top => match self.all_done() {
+                None => return false,
+                Some(true) => self.done = true,
+                Some(false) => {
+                    self.progressed = false;
+                    self.stage = Stage::Prefill;
+                }
+            },
+            Stage::Prefill => return self.prefill_round(Stage::Decode),
+            Stage::Decode => {
+                if self.replicas.iter().any(|r| !r.running.is_empty()) {
+                    self.do_decode_burst();
+                    self.progressed = true;
+                } else {
+                    self.stage = if self.progressed {
+                        Stage::Top
+                    } else {
+                        Stage::Idle
+                    };
+                }
             }
-            if !progressed {
+            Stage::Idle => {
                 self.wait_for_next_arrival();
+                self.stage = Stage::Top;
             }
+            other => unreachable!("decode-prioritized run in stage {other:?}"),
         }
+        true
     }
 
-    fn run_chunked(&mut self, chunk_tokens: usize) {
+    /// Sarathi-style chunked prefill. Two mixed rounds stay in flight
+    /// so pipeline stages remain busy across round boundaries. Engine
+    /// state (graduations, decode advances, admissions) evolves
+    /// deterministically, so bookkeeping is applied at submission; the
+    /// simulator is only consulted for wall-clock time.
+    fn step_chunked(&mut self, chunk_tokens: usize) -> bool {
         assert!(chunk_tokens > 0, "chunk size must be positive");
-        // Two mixed rounds stay in flight so pipeline stages remain
-        // busy across round boundaries. Engine state (graduations,
-        // decode advances, admissions) evolves deterministically, so
-        // bookkeeping is applied at submission; the simulator is only
-        // consulted for wall-clock time.
-        let mut outstanding: VecDeque<TaskHandle> = VecDeque::new();
-        let mut round = 0usize;
-        loop {
-            // Admit into the prefilling queues.
-            let admitted = self.admit(usize::MAX);
-            for (d, batch) in admitted.into_iter().enumerate() {
-                for (id, prompt) in batch {
-                    self.prefilling[d].push_back(Prefilling { id, prompt, done: 0 });
+        match self.stage {
+            Stage::Top => {
+                // Admit into the prefilling queues.
+                if !self.may_decide() {
+                    return false;
                 }
-            }
-            if self.all_done() {
-                break;
-            }
-
-            let chunking = self.prefilling.iter().any(|p| !p.is_empty());
-            if chunking {
-                round += 1;
-                if let Some(join) = self.submit_mixed_round_step(chunk_tokens, round) {
-                    outstanding.push_back(join);
-                    if outstanding.len() >= 2 {
-                        let oldest = outstanding.pop_front().expect("non-empty");
-                        let t0 = self.cs.now();
-                        self.cs.sim.run_until(oldest);
-                        self.mixed_wall += self.cs.now() - t0;
+                let admitted = self.admit(usize::MAX);
+                for (d, batch) in admitted.into_iter().enumerate() {
+                    for (id, prompt) in batch {
+                        self.prefilling[d].push_back(Prefilling {
+                            id,
+                            prompt,
+                            done: 0,
+                        });
                     }
                 }
-            } else {
-                // Drain in-flight mixed rounds before pure decode.
-                while let Some(j) = outstanding.pop_front() {
-                    let t0 = self.cs.now();
-                    self.cs.sim.run_until(j);
-                    self.mixed_wall += self.cs.now() - t0;
-                }
-                if !self.do_decode_burst() {
-                    // Nothing running and nothing chunking, but
-                    // waiting non-empty: either the drain above just
-                    // made the head request admissible, or its
-                    // arrival is still in the future and the cluster
-                    // idles until it.
-                    if self
-                        .waiting
-                        .front()
-                        .is_some_and(|r| r.arrival_s > self.cs.now().as_secs())
-                    {
-                        self.wait_for_next_arrival();
-                    }
-                    continue;
-                }
+                self.stage = Stage::Check;
             }
+            Stage::Check => match self.all_done() {
+                None => return false,
+                Some(true) => {
+                    self.drain_mixed();
+                    self.done = true;
+                }
+                Some(false) if self.prefilling.iter().any(|p| !p.is_empty()) => {
+                    self.round += 1;
+                    if let Some(join) = self.submit_mixed_round_step(chunk_tokens, self.round) {
+                        self.mixed.push_back(join);
+                        if self.mixed.len() >= 2 {
+                            let oldest = self.mixed.pop_front().expect("non-empty");
+                            self.await_mixed(oldest);
+                        }
+                    }
+                    self.stage = Stage::Top;
+                }
+                Some(false) => {
+                    // Drain in-flight mixed rounds before pure decode.
+                    self.drain_mixed();
+                    self.stage = if self.do_decode_burst() {
+                        Stage::Top
+                    } else {
+                        Stage::NoDecode
+                    };
+                }
+            },
+            Stage::NoDecode => {
+                // Nothing running and nothing chunking, but waiting
+                // non-empty: either the drain above just made the head
+                // request admissible, or its arrival is still in the
+                // future and the cluster idles until it.
+                // (An empty queue goes back to the top either way: the
+                // termination test there pauses while the stream is
+                // open.)
+                if self
+                    .waiting
+                    .front()
+                    .is_some_and(|r| r.arrival_s > self.cs.now().as_secs())
+                {
+                    self.wait_for_next_arrival();
+                }
+                self.stage = Stage::Top;
+            }
+            other => unreachable!("chunked run in stage {other:?}"),
         }
-        while let Some(j) = outstanding.pop_front() {
-            let t0 = self.cs.now();
-            self.cs.sim.run_until(j);
-            self.mixed_wall += self.cs.now() - t0;
+        true
+    }
+
+    fn await_mixed(&mut self, join: TaskHandle) {
+        let t0 = self.cs.now();
+        self.cs.sim.run_until(join);
+        self.mixed_wall += self.cs.now() - t0;
+    }
+
+    fn drain_mixed(&mut self) {
+        while let Some(join) = self.mixed.pop_front() {
+            self.await_mixed(join);
         }
     }
 
@@ -556,16 +708,19 @@ impl<'a> RunState<'a> {
         Some(join)
     }
 
-    fn finish(mut self, requests: &[Request], label: String) -> (EngineReport, TraceSummary) {
+    fn finish_traced(mut self) -> (EngineReport, TraceSummary) {
+        self.closed = true;
+        self.resume();
         let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, requests.len(), "all requests must finish");
+        let (requests, input_tokens, output_tokens) = self.pushed;
+        assert_eq!(self.completed, requests, "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = self.rec.resolve(&self.cs.sim, &self.meta);
+        let timeline = std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
-            label,
-            stats: RunStats::from_requests(requests, end.as_secs()),
+            label: self.eng.label(),
+            stats: RunStats::from_totals(requests, input_tokens, output_tokens, end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
             mixed_wall_s: self.mixed_wall,
@@ -579,6 +734,46 @@ impl<'a> RunState<'a> {
             latency,
         };
         (report, trace_summary)
+    }
+}
+
+impl EngineRun for RunState {
+    fn push(&mut self, req: Request) {
+        assert!(!self.closed, "push into a finished run");
+        assert!(
+            req.arrival_s >= self.horizon,
+            "push at {} precedes the run's horizon {}",
+            req.arrival_s,
+            self.horizon
+        );
+        self.horizon = req.arrival_s;
+        self.meta.insert(req);
+        self.waiting.push_back(req);
+        self.pushed.0 += 1;
+        self.pushed.1 += req.input_len as u64;
+        self.pushed.2 += req.output_len as u64;
+    }
+
+    fn advance_to(&mut self, t: f64) {
+        self.horizon = self.horizon.max(t);
+        self.resume();
+    }
+
+    fn progress_at(&mut self, t: f64) -> Progress {
+        self.advance_to(t);
+        self.progress.count(&self.rec, &self.cs.sim, t)
+    }
+
+    fn drain_unfinished(&self) -> Vec<Unfinished> {
+        let mut fork = self.clone();
+        fork.closed = true;
+        fork.resume();
+        fork.cs.sim.run_until_idle();
+        fork.progress.unfinished(&fork.rec, &fork.cs.sim)
+    }
+
+    fn finish(self: Box<Self>) -> EngineReport {
+        self.finish_traced().0
     }
 }
 

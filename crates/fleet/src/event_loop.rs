@@ -10,32 +10,39 @@
 //! This module hosts the N replicas as actors on a single
 //! [`seesaw_sim::EventQueue`]: every arrival is an event; popping one
 //! advances the global clock to that instant, queries each replica's
-//! exact live state there (via [`seesaw_engine::EngineStepper`]'s
-//! causal replay — engines admit on arrival times, so replaying the
-//! assigned prefix reproduces the live trajectory exactly), routes on
-//! the measured state, and hands the request to the chosen actor.
-//! Decisions are serial in event order, so runs are deterministic and
-//! runner-invariant; the final per-replica simulations are
-//! independent and parallelize on the [`SweepRunner`] exactly like
-//! the fast path.
+//! exact live state there, routes on the measured state, and pushes
+//! the request into the chosen actor. Each actor is an
+//! [`seesaw_engine::EngineStepper`] over the replica engine's
+//! resumable run: a query advances the run through every scheduling
+//! decision before the instant and reads its counts, so each request
+//! is simulated about once across the whole loop. Decisions are serial
+//! in event order, so runs are deterministic and runner-invariant; the
+//! final reports come from finishing every actor, in parallel on the
+//! [`SweepRunner`].
+//!
+//! `jsq-live` ranks on queue depth, a backward-looking count that
+//! never drains an actor; `least-work-live` ranks on remaining work,
+//! a forward-looking read that drains a fork of each queried run
+//! (memoized until the actor's next push).
 //!
 //! For feedback-free policies the loop skips the live-state queries
 //! and the router falls through to its estimated decision — the same
-//! decision the fast path makes — so both paths produce byte-identical
-//! [`FleetReport`]s (enforced by `tests/event_core.rs`). That
-//! equivalence is what lets [`Fleet::run_with`] auto-select the fast
-//! path whenever the policy permits.
+//! decision the fast path makes — so the actors are push-only and
+//! both paths produce byte-identical [`FleetReport`]s (enforced by
+//! `tests/event_core.rs`). That equivalence is what lets
+//! [`Fleet::run_with`] auto-select the fast path whenever the policy
+//! permits.
 
 use crate::fleet::Fleet;
 use crate::report::FleetReport;
 use crate::router::Router;
 use crate::router::RouterPolicy;
-use crate::telemetry::{record_request_spans, register_tracks};
+use crate::telemetry::{record_request_spans, record_route, register_tracks};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::{EngineStepper, SweepRunner};
 use seesaw_sim::{EventQueue, SimTime};
-use seesaw_telemetry::{fmt_secs, Instrument, ROUTER_TRACK};
-use seesaw_workload::{split_stream, Request};
+use seesaw_telemetry::Instrument;
+use seesaw_workload::Request;
 
 impl Fleet {
     /// Serve `requests` (sorted by arrival) under `policy` on the
@@ -79,15 +86,10 @@ impl Fleet {
             rates.get(replica).map_or(1.0, |r| r.est_service_s(req))
         };
         let live_routing = policy.needs_live_state();
+        let ranks_work = policy == RouterPolicy::LeastWorkLive;
         let mut router = Router::new(policy, n);
-        // One actor per replica: a stepper replaying the replica's
-        // assigned sub-stream to answer exact state queries. Only
-        // live policies consult them.
-        let mut actors: Vec<EngineStepper<'_>> = if live_routing {
-            self.replicas.iter().map(|r| EngineStepper::new(&**r, 0.0)).collect()
-        } else {
-            Vec::new()
-        };
+        // One actor per replica; only live policies query them.
+        let mut actors: Vec<EngineStepper> = self.replicas.iter().map(|r| r.start(0.0)).collect();
         let all: Vec<usize> = (0..n).collect();
         let mut events: EventQueue<usize> = EventQueue::new();
         for (idx, req) in requests.iter().enumerate() {
@@ -101,20 +103,22 @@ impl Fleet {
             let req = &requests[idx];
             let now = at.as_secs();
             // Measured state of every replica at this instant —
-            // queried serially in replica order for determinism.
-            let live: Vec<(usize, f64)> = if live_routing {
+            // queried serially in replica order for determinism. Work
+            // is read (a drain) only when the policy ranks on it.
+            let live: Vec<(usize, Option<f64>)> = if live_routing {
                 actors
                     .iter_mut()
-                    .map(|a| {
-                        let s = a.state_at(now);
-                        (s.queue_depth, s.work_s)
-                    })
+                    .map(|a| a.depth_and_work_at(now, ranks_work))
                     .collect()
             } else {
                 Vec::new()
             };
+            let keys: Vec<(usize, f64)> = live
+                .iter()
+                .map(|&(depth, work)| (depth, work.unwrap_or(0.0)))
+                .collect();
             let routed = router
-                .route_live_among(req, &all, &live, est)
+                .route_live_among(req, &all, &keys, est)
                 .expect("every replica of a fixed fleet is eligible");
             assignment[idx] = routed.replica;
             if telemetry {
@@ -123,42 +127,39 @@ impl Fleet {
                 let (depth, work_s) = if live_routing {
                     live[routed.replica]
                 } else {
-                    router.queue_state(now)[routed.replica]
+                    let (depth, work) = router.queue_state(now)[routed.replica];
+                    (depth, Some(work))
                 };
-                instr.recorder.instant(
-                    ROUTER_TRACK,
-                    &format!("route {} -> r{}", req.id, routed.replica),
+                record_route(
+                    &mut instr.recorder,
                     now,
-                    &[
-                        ("queue_depth", depth.to_string()),
-                        ("work_s", fmt_secs(work_s)),
-                        ("est_wait_s", fmt_secs(routed.est_wait_s)),
-                        ("measured", live_routing.to_string()),
-                    ],
+                    req.id,
+                    routed.replica,
+                    depth,
+                    work_s,
+                    routed.est_wait_s,
+                    live_routing,
                 );
                 instr
                     .metrics
                     .counter_add(&format!("fleet.route.{policy}.replica{}", routed.replica), 1);
                 instr.metrics.observe("fleet.route.est_wait_s", routed.est_wait_s);
             }
-            if live_routing {
-                actors[routed.replica].push(req.clone());
-            }
+            actors[routed.replica].push(*req);
         }
         if telemetry {
             instr.metrics.counter_add("fleet.events.pushed", events.total_pushes());
             instr.metrics.counter_add("fleet.events.popped", events.total_pops());
-            let (replays, replayed) = actors
+            let (drains, simulated) = actors
                 .iter()
                 .map(EngineStepper::replay_counts)
                 .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
-            instr.metrics.counter_add("fleet.replay.count", replays);
-            instr.metrics.counter_add("fleet.replay.requests", replayed);
+            instr.metrics.counter_add("fleet.replay.count", drains);
+            instr
+                .metrics
+                .counter_add("fleet.replay.requests", simulated);
         }
-        drop(actors);
-        let streams = split_stream(requests, &assignment, n);
-        let indices: Vec<usize> = (0..n).collect();
-        let reports = runner.map(&indices, |&i| self.replicas[i].run(&streams[i]));
+        let reports = EngineStepper::finish_all(runner, actors);
         let report = FleetReport::from_replica_reports(policy, reports, assignment);
         if telemetry {
             record_request_spans(&mut instr.recorder, &report);

@@ -23,9 +23,12 @@
 //!   timelines into a [`FleetReport`] with fleet-level latency
 //!   percentiles, SLO attainment, goodput, and per-replica
 //!   load-imbalance statistics. Live policies automatically run on
-//!   the global event loop ([`event_loop`]) instead; feedback-free
-//!   ones keep this merged-timeline fast path, which the event loop
-//!   reproduces byte-for-byte.
+//!   the global event loop ([`event_loop`]) instead, where each
+//!   replica is an actor over its engine's resumable run: measured
+//!   queue depth costs an O(in-flight) read and each request is
+//!   simulated about once. Feedback-free policies keep this
+//!   merged-timeline fast path, which the event loop reproduces
+//!   byte-for-byte.
 //! * [`sweep`] evaluates capacity-scaling grids (replica count ×
 //!   offered load) and router-policy head-to-head comparisons.
 //!

@@ -50,7 +50,7 @@ pub enum RouterPolicy {
     LeastEstimatedWork,
     /// JSQ over *measured* replica state: fewest actually-unfinished
     /// requests at the arrival instant, observed from each replica's
-    /// exact engine replay (see `seesaw_engine::stepper`). Requires
+    /// resumable engine run (see `seesaw_engine::stepper`). Requires
     /// the global event loop — there is no estimated fast path.
     JoinShortestQueueLive,
     /// Least *measured* remaining work: the replica whose in-flight
@@ -380,7 +380,8 @@ impl Router {
     /// Route one request from *measured* replica state: `live[k]` is
     /// the `(unfinished request count, remaining work seconds)` of
     /// replica `eligible[k]` at the arrival instant, observed from
-    /// the engines' exact replays by the global event loop.
+    /// the engines' resumable runs by the global event loop. Policies
+    /// that do not rank on work may pass any value for it.
     ///
     /// Live policies take the argmin of their measured key with the
     /// same round-robin tie rotor the estimated policies use;

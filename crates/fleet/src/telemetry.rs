@@ -28,6 +28,35 @@ pub fn replica_track(i: usize) -> u32 {
     REPLICA_TRACK_BASE + i as u32
 }
 
+/// Record one route decision on the router track with the state it
+/// saw: queue depth, remaining work when known (`None` when a measured
+/// value would have cost a drain the router did not need), the
+/// router's estimated wait, and whether the state was measured.
+#[allow(clippy::too_many_arguments)]
+pub fn record_route(
+    rec: &mut Recorder,
+    t_s: f64,
+    req_id: u64,
+    replica: usize,
+    depth: usize,
+    work_s: Option<f64>,
+    est_wait_s: f64,
+    measured: bool,
+) {
+    let mut args = vec![("queue_depth", depth.to_string())];
+    if let Some(work_s) = work_s {
+        args.push(("work_s", fmt_secs(work_s)));
+    }
+    args.push(("est_wait_s", fmt_secs(est_wait_s)));
+    args.push(("measured", measured.to_string()));
+    rec.instant(
+        ROUTER_TRACK,
+        &format!("route {req_id} -> r{replica}"),
+        t_s,
+        &args,
+    );
+}
+
 /// Record one replica's served requests as spans on its track:
 /// arrival → completion, with TTFT and output length as args.
 pub fn record_replica_requests(rec: &mut Recorder, replica: usize, report: &EngineReport) {

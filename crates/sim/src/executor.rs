@@ -174,7 +174,7 @@ const NO_RESOURCE: u32 = u32::MAX;
 /// are stored as `u32` and the completion time piggybacks on the
 /// state machine (`state == Done`), keeping the record compact enough
 /// that a simulation's whole working set stays cache-resident.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Task {
     duration: f64,
     service_start: SimTime,
@@ -196,7 +196,7 @@ impl Task {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ResState {
     busy: bool,
     queue: VecDeque<usize>,
@@ -230,7 +230,11 @@ fn unpack_event(key: u128) -> (SimTime, usize) {
 /// by task id) and survives [`Simulator::reset`] with its capacity
 /// intact, so a pooled simulator re-runs a comparable workload
 /// without touching the allocator.
-#[derive(Debug)]
+///
+/// `Clone` copies the whole arena: a fork continues independently from
+/// the same instant (a resumable engine run answers forward-looking
+/// queries by draining such a fork).
+#[derive(Debug, Clone)]
 pub struct Simulator {
     pool: ResourcePool,
     res_state: Vec<ResState>,
@@ -471,6 +475,21 @@ impl Simulator {
         self.now
     }
 
+    /// Time of the earliest pending completion event, if any. Every
+    /// unfinished task completes at or after it.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.events.peek().map(|&Reverse(key)| unpack_event(key).0)
+    }
+
+    /// Process every pending event at or before `t`, leaving later
+    /// ones queued (the clock ends at the last processed event, not
+    /// at `t`).
+    pub fn run_through(&mut self, t: SimTime) {
+        while self.next_event_time().is_some_and(|at| at <= t) {
+            self.step();
+        }
+    }
+
     /// Advance the clock to `t` while the simulator is idle (no
     /// pending events) — modeling a cluster waiting for the next
     /// request arrival in an online-serving run. A `t` at or before
@@ -668,6 +687,27 @@ mod tests {
 
     fn compute(sim: &mut Simulator, r: ResourceId, dur: f64) -> TaskHandle {
         sim.submit(TaskSpec::new(r, dur, TaskKind::Compute))
+    }
+
+    #[test]
+    fn run_through_stops_at_the_horizon_and_forks_are_independent() {
+        let mut sim = Simulator::new();
+        let gpu = sim.add_resource("gpu0.compute");
+        let a = compute(&mut sim, gpu, 1.0);
+        let b = compute(&mut sim, gpu, 2.0);
+        let mut fork = sim.clone();
+        fork.run_through(SimTime::from_secs(1.0));
+        assert_eq!(
+            fork.completion_time(a).map(|t| t.as_secs()),
+            Some(1.0),
+            "ties at t run"
+        );
+        assert!(!fork.completed(b));
+        assert_eq!(fork.next_event_time().map(|t| t.as_secs()), Some(3.0));
+        assert!(!sim.completed(a), "the original is untouched");
+        assert_eq!(sim.run_until_idle().as_secs(), 3.0);
+        assert_eq!(fork.run_until_idle().as_secs(), 3.0);
+        assert_eq!(sim.next_event_time(), None);
     }
 
     #[test]

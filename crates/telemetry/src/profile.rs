@@ -10,13 +10,15 @@
 /// the times denominators.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ControllerProfile {
-    /// Route-decision time: the dispatch loop minus live-state replay.
+    /// Route-decision time: the dispatch loop minus live-state queries.
     pub routing_s: f64,
-    /// Live-state replay: `run_ready` re-simulations behind
-    /// `live_state_at` (dispatch-time queries, window-boundary
-    /// observations, kill-time in-flight reads).
+    /// Live-state queries: the replica actors' resumable runs advanced
+    /// to answer measured-state reads (dispatch-time queries,
+    /// window-boundary observations, kill-time in-flight reads),
+    /// including any closed-stream forks drained for forward reads.
     pub replay_s: f64,
-    /// Final per-replica engine simulations (the `runner.map` block).
+    /// Finishing every replica actor's run (the rest of the engine
+    /// simulation, on the sweep runner).
     pub engine_s: f64,
     /// Report assembly: retry fold-back, lifecycles, fleet merge,
     /// windowed metrics, availability accounting.
@@ -27,12 +29,15 @@ pub struct ControllerProfile {
     pub windows: usize,
     /// Requests dispatched (including retries).
     pub dispatches: u64,
-    /// Live-state cache refills (each is one `run_ready` replay).
+    /// State drains: queries that made an actor's run catch up with
+    /// newly pushed requests, plus closed-stream forks drained for
+    /// forward reads.
     pub replays: u64,
-    /// Total requests re-simulated across those refills — the replay
-    /// amplification numerator (`replayed_requests / dispatches` is
-    /// how many times the average request is re-run before the final
-    /// pass).
+    /// Requests the engines simulated to answer state queries: each
+    /// newly pushed request once, plus the in-flight set of every
+    /// fork — the amplification numerator (`replayed_requests /
+    /// dispatches` is ~1 for queue-depth routing and grows only with
+    /// forward reads).
     pub replayed_requests: u64,
 }
 
@@ -52,8 +57,8 @@ impl ControllerProfile {
         }
     }
 
-    /// Replay amplification: re-simulated requests per dispatched
-    /// request (0.0 when nothing dispatched).
+    /// Replay amplification: requests simulated for state queries per
+    /// dispatched request (0.0 when nothing dispatched).
     pub fn replay_amplification(&self) -> f64 {
         if self.dispatches == 0 {
             0.0

@@ -23,19 +23,35 @@ impl RunStats {
     /// an empty set may have `duration_s == 0.0` (its throughputs are
     /// all 0.0).
     pub fn from_requests(reqs: &[Request], duration_s: f64) -> Self {
+        Self::from_totals(
+            reqs.len(),
+            reqs.iter().map(|r| r.input_len as u64).sum(),
+            reqs.iter().map(|r| r.output_len as u64).sum(),
+            duration_s,
+        )
+    }
+
+    /// [`RunStats::from_requests`] from running totals (a resumable
+    /// engine run accumulates them per push instead of keeping the
+    /// request slice).
+    pub fn from_totals(
+        requests: usize,
+        input_tokens: u64,
+        output_tokens: u64,
+        duration_s: f64,
+    ) -> Self {
         assert!(
             duration_s.is_finite() && duration_s >= 0.0,
             "run duration must be finite and non-negative, got {duration_s}"
         );
         assert!(
-            reqs.is_empty() || duration_s > 0.0,
-            "a non-empty run ({} requests) needs strictly positive duration",
-            reqs.len()
+            requests == 0 || duration_s > 0.0,
+            "a non-empty run ({requests} requests) needs strictly positive duration"
         );
         RunStats {
-            requests: reqs.len(),
-            input_tokens: reqs.iter().map(|r| r.input_len as u64).sum(),
-            output_tokens: reqs.iter().map(|r| r.output_len as u64).sum(),
+            requests,
+            input_tokens,
+            output_tokens,
             duration_s,
         }
     }

@@ -74,6 +74,8 @@ pub enum RequestMap {
         base: u64,
         /// Slot per id in `[base, base + slots.len())`.
         slots: Vec<Option<Request>>,
+        /// Occupied slots.
+        len: usize,
     },
     /// Requests sorted by id, binary-searched.
     Sorted(Vec<Request>),
@@ -101,7 +103,11 @@ impl RequestMap {
                 assert!(slot.is_none(), "duplicate request id {}", r.id);
                 *slot = Some(*r);
             }
-            RequestMap::Dense { base, slots }
+            RequestMap::Dense {
+                base,
+                slots,
+                len: reqs.len(),
+            }
         } else {
             let mut sorted = reqs.to_vec();
             sorted.sort_by_key(|r| r.id);
@@ -112,10 +118,53 @@ impl RequestMap {
         }
     }
 
+    /// Add one request (its id must be new). Ids at or above the
+    /// dense base extend the direct index while the span stays within
+    /// the density slack — so a stream pushed in (near-)sequential id
+    /// order, the common case, stays O(1) per insert and lookup — and
+    /// anything else falls back to the sorted representation.
+    pub fn insert(&mut self, req: Request) {
+        if let RequestMap::Sorted(sorted) = self {
+            if sorted.is_empty() {
+                *self = RequestMap::Dense {
+                    base: req.id,
+                    slots: vec![Some(req)],
+                    len: 1,
+                };
+                return;
+            }
+        }
+        if let RequestMap::Dense { base, slots, len } = self {
+            if req.id >= *base {
+                let offset = req.id - *base;
+                let limit = (*len as u64 + 1).saturating_mul(Self::DENSE_SLACK);
+                if offset < limit {
+                    let i = offset as usize;
+                    if i >= slots.len() {
+                        slots.resize(i + 1, None);
+                    }
+                    assert!(slots[i].is_none(), "duplicate request id {}", req.id);
+                    slots[i] = Some(req);
+                    *len += 1;
+                    return;
+                }
+            }
+        }
+        let mut sorted = match std::mem::replace(self, RequestMap::Sorted(Vec::new())) {
+            RequestMap::Dense { slots, .. } => slots.into_iter().flatten().collect(),
+            RequestMap::Sorted(sorted) => sorted,
+        };
+        match sorted.binary_search_by_key(&req.id, |r| r.id) {
+            Ok(_) => panic!("duplicate request id {}", req.id),
+            Err(pos) => sorted.insert(pos, req),
+        }
+        *self = RequestMap::Sorted(sorted);
+    }
+
     /// Look up a request by id.
     pub fn get(&self, id: u64) -> Option<&Request> {
         match self {
-            RequestMap::Dense { base, slots } => id
+            RequestMap::Dense { base, slots, .. } => id
                 .checked_sub(*base)
                 .and_then(|i| slots.get(i as usize))
                 .and_then(|s| s.as_ref()),
@@ -136,7 +185,7 @@ impl RequestMap {
     /// Number of stored requests.
     pub fn len(&self) -> usize {
         match self {
-            RequestMap::Dense { slots, .. } => slots.iter().flatten().count(),
+            RequestMap::Dense { len, .. } => *len,
             RequestMap::Sorted(sorted) => sorted.len(),
         }
     }
@@ -268,6 +317,47 @@ mod tests {
         assert_eq!(map.req(0).input_len, 10);
         assert_eq!(map.req(u64::MAX).input_len, 20);
         assert!(map.get(1).is_none());
+    }
+
+    #[test]
+    fn request_map_insert_matches_bulk_build() {
+        // Sequential pushes stay on the direct index.
+        let reqs: Vec<Request> = (0..40)
+            .map(|i| Request::new(i, 10 + i as usize, 1))
+            .collect();
+        let mut map = RequestMap::new(&[]);
+        for r in &reqs {
+            map.insert(*r);
+        }
+        assert!(matches!(map, RequestMap::Dense { .. }));
+        assert_eq!(map.len(), 40);
+        // Descending ids and far jumps fall back to the sorted form;
+        // lookups agree either way.
+        let odd = [
+            Request::new(u64::MAX, 5, 1),
+            Request::new(u64::MAX - 1, 6, 1),
+            Request::new(9, 7, 1),
+        ];
+        let mut sparse = RequestMap::new(&[]);
+        for r in &odd {
+            sparse.insert(*r);
+        }
+        assert!(matches!(sparse, RequestMap::Sorted(_)));
+        assert_eq!(sparse.len(), 3);
+        for r in &reqs {
+            assert_eq!(map.req(r.id), *r);
+        }
+        for r in &odd {
+            assert_eq!(sparse.req(r.id), *r);
+        }
+        assert!(sparse.get(10).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request id")]
+    fn request_map_insert_rejects_duplicate_ids() {
+        let mut map = RequestMap::new(&[Request::new(5, 10, 1)]);
+        map.insert(Request::new(5, 20, 2));
     }
 
     #[test]
