@@ -129,18 +129,71 @@ fn sample_trace(
 /// Peak and mean offered load of a replayed trace, as multiples of
 /// `capacity_rps`: the mean over the trace's span and the peak over
 /// `window_s` windows — so a trace file sizes the static baselines
-/// from *its* shape, not the default envelope's.
+/// from *its* shape, not the default envelope's. Arrivals are sorted,
+/// so each window's requests form one run: the peak is counted over
+/// the runs, with no axis sized by the span.
 fn trace_load_multipliers(reqs: &[Request], window_s: f64, capacity_rps: f64) -> (f64, f64) {
     let span = reqs.last().map_or(0.0, |r| r.arrival_s).max(window_s);
-    let n_windows = (span / window_s).ceil() as usize;
-    let mut counts = vec![0usize; n_windows.max(1)];
-    for r in reqs {
-        let w = ((r.arrival_s / window_s) as usize).min(counts.len() - 1);
-        counts[w] += 1;
-    }
-    let peak_rps = counts.iter().copied().max().unwrap_or(0) as f64 / window_s;
+    // An arrival exactly at the span's end counts in the last window.
+    let last_window = ((span / window_s).ceil() as usize).max(1) - 1;
+    let window_of = |r: &Request| ((r.arrival_s / window_s) as usize).min(last_window);
+    let peak = reqs.chunk_by(|a, b| window_of(a) == window_of(b)).map(<[_]>::len).max();
+    let peak_rps = peak.unwrap_or(0) as f64 / window_s;
     let mean_rps = reqs.len() as f64 / span;
     (peak_rps / capacity_rps, mean_rps / capacity_rps)
+}
+
+/// Most control windows a replayed trace may span. The controller
+/// keeps per-window state over the whole span, so a longer trace is
+/// refused before anything is sized by it (the default day is 288
+/// windows).
+pub const MAX_TRACE_WINDOWS: usize = 1_000_000;
+
+/// Why a `--trace` file cannot be replayed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceError {
+    /// The file is unreadable or malformed.
+    Load(String),
+    /// The trace spans more than [`MAX_TRACE_WINDOWS`] control
+    /// windows.
+    TooManyWindows {
+        /// The trace file.
+        path: String,
+        /// Last arrival, seconds after the first.
+        last_arrival_s: f64,
+        /// Control-window length, seconds.
+        window_s: f64,
+    },
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::Load(e) => f.write_str(e),
+            TraceError::TooManyWindows { path, last_arrival_s, window_s } => write!(
+                f,
+                "trace {path} spans {last_arrival_s:.3e} s, {:.3e} control windows of {window_s} s; \
+                 at most {MAX_TRACE_WINDOWS} are supported (use a longer --window or a shorter \
+                 trace)",
+                (last_arrival_s / window_s).floor() + 1.0,
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// Load a trace file's arrival times, refusing a trace that spans
+/// more than [`MAX_TRACE_WINDOWS`] windows of `window_s`.
+fn load_trace_times(path: &str, window_s: f64) -> Result<Vec<f64>, TraceError> {
+    let times = seesaw_workload::load_trace_file(path).map_err(TraceError::Load)?;
+    let last_arrival_s = times.last().copied().unwrap_or(0.0);
+    // The controller's window count, in floating point so a huge span
+    // cannot saturate the comparison.
+    if (last_arrival_s / window_s).floor() + 1.0 > MAX_TRACE_WINDOWS as f64 {
+        return Err(TraceError::TooManyWindows { path: path.to_string(), last_arrival_s, window_s });
+    }
+    Ok(times)
 }
 
 /// Build the default traces (diurnal + rush-hours, rates in multiples
@@ -169,25 +222,24 @@ pub fn default_traces(spec: &ScenarioSpec, capacity_rps: f64) -> Vec<(String, Ve
 /// the policy × trace grid. `config.capacity_rps` is overwritten with
 /// the measured value; `trace_file`, when given, *replaces* the
 /// generated traces with a replayed one (absolute arrival times, see
-/// [`seesaw_workload::load_trace_file`]). Errs on an
-/// unreadable/malformed trace file.
+/// [`seesaw_workload::load_trace_file`]). Errs, before any
+/// simulation, on an unreadable/malformed trace file or one spanning
+/// more than [`MAX_TRACE_WINDOWS`] control windows.
 pub fn default_frontier_with(
     runner: &SweepRunner,
     spec: &ScenarioSpec,
     mut config: AutoscaleConfig,
     trace_file: Option<&str>,
-) -> Result<FrontierSweep, String> {
+) -> Result<FrontierSweep, TraceError> {
+    let times = trace_file.map(|path| load_trace_times(path, config.window_s)).transpose()?;
     let (cluster, model) = default_specs();
     let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
     let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
     let (capacity_rps, label) = offline_capacity(&build, &probe);
     config.capacity_rps = capacity_rps;
-    let traces: Vec<(String, Vec<Request>)> = match trace_file {
-        Some(path) => {
-            let times = seesaw_workload::load_trace_file(path)?;
-            vec![(path.to_string(), requests_for_times(times, spec.seed))]
-        }
-        None => default_traces(spec, capacity_rps),
+    let traces: Vec<(String, Vec<Request>)> = match (trace_file, times) {
+        (Some(path), Some(times)) => vec![(path.to_string(), requests_for_times(times, spec.seed))],
+        _ => default_traces(spec, capacity_rps),
     };
     // Size the static baselines from the load actually replayed: the
     // envelope multipliers for generated days, the measured
@@ -233,27 +285,23 @@ pub struct ObservedFrontierCell {
 /// first trace (the diurnal day, or the replayed `trace_file`) — with
 /// the telemetry recorder on, and render its Perfetto trace. Recorded
 /// bytes are sim-time only, so the trace is byte-identical for every
-/// `--jobs` value. Errs on an unreadable/malformed trace file.
+/// `--jobs` value. Errs like [`default_frontier_with`] on a bad trace
+/// file.
 pub fn observed_frontier_cell_with(
     runner: &SweepRunner,
     spec: &ScenarioSpec,
     mut config: AutoscaleConfig,
     trace_file: Option<&str>,
-) -> Result<ObservedFrontierCell, String> {
+) -> Result<ObservedFrontierCell, TraceError> {
+    let times = trace_file.map(|path| load_trace_times(path, config.window_s)).transpose()?;
     let (cluster, model) = default_specs();
     let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
     let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
     let (capacity_rps, _) = offline_capacity(&build, &probe);
     config.capacity_rps = capacity_rps;
-    let (trace, requests) = match trace_file {
-        Some(path) => {
-            let times = seesaw_workload::load_trace_file(path)?;
-            (path.to_string(), requests_for_times(times, spec.seed))
-        }
-        None => {
-            let mut traces = default_traces(spec, capacity_rps);
-            traces.swap_remove(0)
-        }
+    let (trace, requests) = match (trace_file, times) {
+        (Some(path), Some(times)) => (path.to_string(), requests_for_times(times, spec.seed)),
+        _ => default_traces(spec, capacity_rps).swap_remove(0),
     };
     let policy = ScalingPolicy::reactive_default();
     let mut instr = Instrument::tracing();
@@ -520,6 +568,65 @@ mod tests {
         // Degenerate scenario where mean rounds up to peak: no
         // duplicate static row.
         assert_eq!(default_policies(2.0, 1.5).len(), 3);
+    }
+
+    /// The run-counted peak equals the dense window-axis count it
+    /// replaced (including an arrival exactly at the span's end,
+    /// which counts in the last window), and a span of 1e300 s
+    /// counts without sizing anything by it.
+    #[test]
+    fn trace_peak_counts_runs_like_a_dense_window_axis() {
+        let dense = |reqs: &[Request], window_s: f64, cap: f64| {
+            let span = reqs.last().map_or(0.0, |r| r.arrival_s).max(window_s);
+            let mut counts = vec![0usize; ((span / window_s).ceil() as usize).max(1)];
+            for r in reqs {
+                let w = ((r.arrival_s / window_s) as usize).min(counts.len() - 1);
+                counts[w] += 1;
+            }
+            let peak = counts.iter().copied().max().unwrap_or(0) as f64 / window_s;
+            (peak / cap, reqs.len() as f64 / span / cap)
+        };
+        for times in [
+            vec![0.0],
+            vec![0.0, 0.0, 1.0, 119.9, 120.0, 240.0],
+            vec![0.0, 10.0, 20.0, 600.0, 600.0, 601.0, 602.0, 1199.0, 1200.0],
+            vec![5.0, 5.0, 5.0],
+        ] {
+            let reqs = requests_for_times(times.clone(), 7);
+            for window_s in [1.0, 60.0, 120.0, 5000.0] {
+                assert_eq!(
+                    trace_load_multipliers(&reqs, window_s, 2.5),
+                    dense(&reqs, window_s, 2.5),
+                    "{times:?} window {window_s}"
+                );
+            }
+        }
+        let hostile = requests_for_times(vec![0.0, 1e300], 7);
+        let (peak, mean) = trace_load_multipliers(&hostile, 120.0, 1.0);
+        assert_eq!(peak, 1.0 / 120.0);
+        assert!(mean > 0.0 && mean < 1e-299);
+    }
+
+    #[test]
+    fn trace_spanning_too_many_windows_is_refused() {
+        let dir = std::env::temp_dir().join(format!("seesaw-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("span.trace");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, "0\n1e300\n").unwrap();
+        match load_trace_times(path, 120.0) {
+            Err(TraceError::TooManyWindows { last_arrival_s, window_s, .. }) => {
+                assert_eq!((last_arrival_s, window_s), (1e300, 120.0));
+            }
+            other => panic!("expected TooManyWindows, got {other:?}"),
+        }
+        // Exactly the budget is accepted; one window more is not.
+        let edge = (MAX_TRACE_WINDOWS - 1) as f64 * 120.0;
+        std::fs::write(path, format!("0\n{edge}\n")).unwrap();
+        assert_eq!(load_trace_times(path, 120.0).unwrap(), vec![0.0, edge]);
+        std::fs::write(path, format!("0\n{}\n", edge + 120.0)).unwrap();
+        assert!(load_trace_times(path, 120.0).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

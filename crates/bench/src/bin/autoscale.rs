@@ -17,10 +17,11 @@
 //! policy roster compares static provision-for-peak and
 //! provision-for-mean against the reactive and target-utilization
 //! controllers. `--trace FILE` replays absolute arrival times (one
-//! per line, `#` comments) instead of the generated envelopes;
-//! `--timeline POLICY` additionally prints that policy's per-window
-//! trajectory on the first trace. Output is byte-identical for every
-//! `--jobs` value.
+//! per line, `#` comments) instead of the generated envelopes (a
+//! trace spanning more than `MAX_TRACE_WINDOWS` control windows is
+//! refused with exit code 2); `--timeline POLICY` additionally prints
+//! that policy's per-window trajectory on the first trace. Output is
+//! byte-identical for every `--jobs` value.
 //!
 //! Observability: `--trace-out FILE` re-runs one dedicated cell (the
 //! reactive controller on the first trace) with the telemetry

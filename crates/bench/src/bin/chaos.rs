@@ -20,7 +20,9 @@
 //! the bare provision-for-peak static fleet (never heals), the same
 //! fleet with replacement spawns, and the reactive controller with
 //! replacement. `--kills`/`--outages` are expected events per *day*
-//! (scaled to compressed `--day` runs); lost requests requeue after
+//! (scaled to compressed `--day` runs; a plan expecting more than
+//! `MAX_EXPECTED_FAULTS` events is refused with exit code 2 before
+//! anything is drawn); lost requests requeue after
 //! `--detect` seconds under exponential backoff. An empty fault model
 //! (`--kills 0 --outages 0`) reproduces the fault-free autoscale
 //! replay byte-for-byte, and output is byte-identical for every
@@ -170,6 +172,10 @@ fn parse_args() -> Args {
     }
     if parsed.config.min_replicas > parsed.config.max_replicas {
         eprintln!("--min must be <= --max");
+        std::process::exit(2);
+    }
+    if let Err(e) = parsed.chaos.check(parsed.spec.day_s, parsed.config.window_s) {
+        eprintln!("{e}");
         std::process::exit(2);
     }
     parsed

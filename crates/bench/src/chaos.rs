@@ -26,7 +26,8 @@ use crate::serving::{default_engine_of, default_specs, DEFAULT_SLO};
 use crate::table::{f2, f3, Table};
 use seesaw_autoscale::{AutoscaleConfig, ElasticFleetReport, RetryPolicy, ScalingPolicy};
 use seesaw_chaos::{
-    chaos_sweep_with, ChaosController, ChaosFrontier, ChaosPoint, FaultPlan, RecoverySpec,
+    chaos_sweep_with, ChaosController, ChaosFrontier, ChaosPoint, FaultPlan, FaultPlanError,
+    RecoverySpec,
 };
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::offline_capacity;
@@ -116,6 +117,15 @@ impl ChaosSpec {
             ));
         }
         roster
+    }
+
+    /// Check every plan of [`ChaosSpec::fault_roster`] against the
+    /// longest fault horizon a `day_s` trace replayed in `window_s`
+    /// control windows can have (the window holding the day's end),
+    /// before any request is generated or fault drawn.
+    pub fn check(&self, day_s: f64, window_s: f64) -> Result<(), FaultPlanError> {
+        let horizon_s = ((day_s / window_s).floor() + 1.0) * window_s;
+        self.fault_roster(day_s).iter().try_for_each(|(_, plan)| plan.check(horizon_s))
     }
 
     /// The default recovery roster for a day peaking at `peak_mult` ×
@@ -603,6 +613,22 @@ mod tests {
         // No outage row when the rate is zero.
         let no_outages = ChaosSpec { outages_per_day: 0.0, ..chaos };
         assert_eq!(no_outages.fault_roster(86_400.0).len(), 2);
+    }
+
+    /// The bin's up-front check passes the default roster and refuses
+    /// `--kills 1e9` (or outages) with the plan's typed error.
+    #[test]
+    fn roster_check_refuses_unbounded_fault_rates() {
+        let chaos = ChaosSpec::default();
+        assert!(chaos.check(86_400.0, 300.0).is_ok());
+        assert!(chaos.check(3600.0, 120.0).is_ok());
+        let kills = ChaosSpec { kills_per_day: 1e9, ..chaos };
+        assert!(matches!(
+            kills.check(3600.0, 120.0),
+            Err(FaultPlanError::TooManyEvents { .. })
+        ));
+        let outages = ChaosSpec { outages_per_day: 1e9, ..chaos };
+        assert!(outages.check(3600.0, 120.0).is_err());
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod plan;
 pub mod sweep;
 
 pub use controller::{ChaosController, RecoverySpec};
-pub use plan::FaultPlan;
+pub use plan::{FaultPlan, FaultPlanError, MAX_EXPECTED_FAULTS};
 pub use sweep::{chaos_sweep_with, ChaosFrontier, ChaosPoint};

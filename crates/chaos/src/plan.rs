@@ -22,6 +22,43 @@ const KILL_SALT: u64 = 0x6b69_6c6c_0000_0001;
 /// Salt separating the outage stream.
 const OUTAGE_SALT: u64 = 0x6f75_7461_0000_0002;
 
+/// Most fault events a plan may expect over one horizon. Schedules
+/// are drawn eagerly, one event at a time, so a plan whose rates ×
+/// horizon expect more is refused before drawing instead of
+/// exhausting memory (the chaos bin's default plans expect under ten
+/// a day).
+pub const MAX_EXPECTED_FAULTS: f64 = 100_000.0;
+
+/// Why a [`FaultPlan`] cannot be resolved into a schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultPlanError {
+    /// A knob or the horizon is out of range.
+    Invalid(String),
+    /// The plan expects more than [`MAX_EXPECTED_FAULTS`] events over
+    /// the horizon.
+    TooManyEvents {
+        /// Expected event count, (kill rate + outage rate) × horizon.
+        expected: f64,
+        /// The horizon, seconds.
+        horizon_s: f64,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::Invalid(e) => write!(f, "invalid fault plan: {e}"),
+            FaultPlanError::TooManyEvents { expected, horizon_s } => write!(
+                f,
+                "fault plan expects {expected:.3e} events over {horizon_s} s; at most \
+                 {MAX_EXPECTED_FAULTS} are supported (lower --kills / --outages)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// A seeded, serializable failure model: everything needed to
 /// regenerate the exact [`FaultSchedule`] for any horizon. This is
 /// the reproducibility unit the `chaos` bin echoes into its JSON —
@@ -76,20 +113,34 @@ impl FaultPlan {
         Ok(())
     }
 
+    /// Check the plan's knobs, the horizon, and the expected event
+    /// count — both Poisson rates times the horizon — against
+    /// [`MAX_EXPECTED_FAULTS`], without drawing anything.
+    pub fn check(&self, horizon_s: f64) -> Result<(), FaultPlanError> {
+        self.validate().map_err(FaultPlanError::Invalid)?;
+        if !(horizon_s.is_finite() && horizon_s >= 0.0) {
+            return Err(FaultPlanError::Invalid(format!(
+                "fault horizon must be finite and >= 0, got {horizon_s}"
+            )));
+        }
+        let expected = (self.kills_per_hour + self.outages_per_hour) / 3600.0 * horizon_s;
+        if expected > MAX_EXPECTED_FAULTS {
+            return Err(FaultPlanError::TooManyEvents { expected, horizon_s });
+        }
+        Ok(())
+    }
+
     /// Resolve the plan into a concrete schedule over `[0,
     /// horizon_s)`, attaching the recovery knobs the replay needs.
     /// Deterministic in (plan, horizon): same inputs, same bytes.
+    /// Panics, before drawing, where [`FaultPlan::check`] errs.
     pub fn schedule(
         &self,
         horizon_s: f64,
         retry: RetryPolicy,
         replace_failures: bool,
     ) -> FaultSchedule {
-        self.validate().unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-        assert!(
-            horizon_s.is_finite() && horizon_s >= 0.0,
-            "fault horizon must be finite and >= 0, got {horizon_s}"
-        );
+        self.check(horizon_s).unwrap_or_else(|e| panic!("{e}"));
         let mut events: Vec<FaultEvent> = Vec::new();
         if self.kills_per_hour > 0.0 {
             let mut rng = StdRng::seed_from_u64(self.seed ^ KILL_SALT);
@@ -204,6 +255,35 @@ mod tests {
         }
         assert!(kills > 0 && outages > 0, "both streams fire: {kills} kills, {outages} outages");
         assert!(s.events.windows(2).all(|w| w[0].t_s <= w[1].t_s));
+    }
+
+    /// A rate knob far past the budget is refused with a typed error
+    /// before a single event is drawn (drawing 1e9 events would
+    /// exhaust memory); a plan just inside the budget passes.
+    #[test]
+    fn event_budget_refuses_huge_rates_before_drawing() {
+        let horizon = 3720.0;
+        let huge = FaultPlan { kills_per_hour: 1e9, ..FaultPlan::none() };
+        match huge.check(horizon) {
+            Err(FaultPlanError::TooManyEvents { expected, horizon_s }) => {
+                assert!((expected - 1e9 * horizon / 3600.0).abs() < 1.0);
+                assert_eq!(horizon_s, horizon);
+            }
+            other => panic!("expected TooManyEvents, got {other:?}"),
+        }
+        let outages = FaultPlan { outages_per_hour: 1e9, ..FaultPlan::none() };
+        assert!(matches!(outages.check(horizon), Err(FaultPlanError::TooManyEvents { .. })));
+        let msg = huge.check(horizon).unwrap_err().to_string();
+        assert!(msg.contains("--kills"), "{msg}");
+
+        let at_budget = MAX_EXPECTED_FAULTS * 3600.0 / horizon;
+        let ok = FaultPlan { kills_per_hour: at_budget * 0.99, ..FaultPlan::none() };
+        assert!(ok.check(horizon).is_ok());
+        assert!(FaultPlan { kills_per_hour: at_budget * 1.01, ..ok }.check(horizon).is_err());
+        assert!(matches!(
+            FaultPlan::none().check(f64::INFINITY),
+            Err(FaultPlanError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -104,6 +104,19 @@ impl Replica {
     }
 }
 
+/// Reusable buffers for pass submission, owned by an engine run so
+/// decode bursts and mixed rounds allocate nothing per round.
+#[derive(Debug, Clone, Default)]
+pub struct PassBuffers {
+    /// Per-micro-batch-slot decode shapes at the slot's current
+    /// contexts (see [`slot_decode_shapes`]).
+    slots: Vec<BatchShape>,
+    /// Per-stage durations of the pass being submitted.
+    durs: Vec<f64>,
+    /// Slot tails of the round being submitted.
+    tails: Vec<TaskHandle>,
+}
+
 /// Per-stage service durations for a pure-stage pass, including the
 /// inter-stage activation hop on all but the last stage.
 pub fn stage_durations(
@@ -117,12 +130,39 @@ pub fn stage_durations(
     durs
 }
 
-/// [`stage_durations`] writing into a caller-owned buffer, so burst
-/// loops reuse one allocation across rounds.
+/// [`stage_durations`] writing into a caller-owned buffer. The layer
+/// cost is evaluated once per pass and scaled by each stage's layer
+/// count — bit-identical to [`Roofline::stage_time`] per stage.
 pub fn stage_durations_into(
     rl: &Roofline,
     cfg: ParallelConfig,
     stage: Stage,
+    shape: &BatchShape,
+    durs: &mut Vec<f64>,
+) {
+    let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
+    scale_by_stage(rl, cfg, layer, shape, durs);
+}
+
+/// Per-stage durations for a mixed (chunked prefill + decode) pass,
+/// written into a caller-owned buffer.
+pub fn mixed_stage_durations_into(
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    prefill: &BatchShape,
+    decode: &BatchShape,
+    durs: &mut Vec<f64>,
+) {
+    let layer = rl.layer_cost_mixed(prefill, decode, cfg.tp).layer_time();
+    scale_by_stage(rl, cfg, layer, &prefill.merge(decode), durs);
+}
+
+/// Stage `s` runs its layer count × `layer` seconds, plus the
+/// activation hop for `shape` on all but the last stage.
+fn scale_by_stage(
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    layer: f64,
     shape: &BatchShape,
     durs: &mut Vec<f64>,
 ) {
@@ -133,40 +173,33 @@ pub fn stage_durations_into(
     };
     durs.clear();
     durs.extend((0..cfg.pp).map(|s| {
-        rl.stage_time(cfg, s, stage, shape) + if s + 1 < cfg.pp { p2p } else { 0.0 }
+        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
     }));
 }
 
-/// Per-stage durations for a mixed (chunked prefill + decode) pass.
-pub fn mixed_stage_durations(
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    prefill: &BatchShape,
-    decode: &BatchShape,
-) -> Vec<f64> {
-    let layer = rl.layer_cost_mixed(prefill, decode, cfg.tp).layer_time();
-    let merged = prefill.merge(decode);
-    let p2p = if cfg.pp > 1 {
-        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(&merged))
-    } else {
-        0.0
-    };
-    (0..cfg.pp)
-        .map(|s| {
-            let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
-            (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
-        })
-        .collect()
+/// Decode shapes of `replica`'s micro-batch slots at their current
+/// contexts: running sequence `i` rides slot `i % pp` (round-robin;
+/// stable while membership is unchanged).
+fn slot_decode_shapes(replica: &Replica, pp: usize, slots: &mut Vec<BatchShape>) {
+    slots.clear();
+    slots.resize(pp, BatchShape::empty());
+    for (i, seq) in replica.running.iter().enumerate() {
+        let slot = &mut slots[i % pp];
+        slot.seqs += 1;
+        slot.ctx_tokens += seq.ctx;
+    }
+    for slot in slots.iter_mut() {
+        slot.new_tokens = slot.seqs;
+    }
 }
 
-/// Indices of `replica.running` assigned to each micro-batch slot
-/// (round-robin; stable while membership is unchanged).
-pub fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
-    let mut slots = vec![Vec::new(); pp];
-    for (i, _) in replica.running.iter().enumerate() {
-        slots[i % pp].push(i);
-    }
-    slots
+/// The decode shape of `base` in round `r` of a burst: every member
+/// has decoded `r + 1` more tokens, so the context sum grows by
+/// `seqs · (r + 1)` — exact in `usize`, equal to re-summing the
+/// advanced contexts.
+fn decode_round_shape(base: &BatchShape, r: usize) -> BatchShape {
+    BatchShape { ctx_tokens: base.ctx_tokens + base.seqs * (r + 1), ..*base }
 }
 
 /// Submit `rounds` chained decode rounds for one replica (each round
@@ -182,31 +215,34 @@ pub fn submit_decode_burst(
     cfg: ParallelConfig,
     replica: &mut Replica,
     rounds: usize,
+    bufs: &mut PassBuffers,
 ) -> Option<TaskHandle> {
     if replica.running.is_empty() || rounds == 0 {
         return None;
     }
-    let slots = slot_members(replica, cfg.pp);
+    slot_decode_shapes(replica, cfg.pp, &mut bufs.slots);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last: Vec<TaskHandle> = Vec::new();
-    let mut durs: Vec<f64> = Vec::new();
     for r in 0..rounds {
-        last.clear();
-        for (slot, members) in slots.iter().enumerate() {
-            if members.is_empty() {
+        bufs.tails.clear();
+        for (slot, base) in bufs.slots.iter().enumerate() {
+            if base.seqs == 0 {
                 continue;
             }
-            let shape =
-                BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + r + 1));
-            stage_durations_into(rl, cfg, Stage::Decode, &shape, &mut durs);
-            durs[0] += overhead;
-            let tail =
-                cs.submit_pass(cfg, replica.dp_rank, &durs, replica.tails[slot], TaskKind::Compute);
+            let shape = decode_round_shape(base, r);
+            stage_durations_into(rl, cfg, Stage::Decode, &shape, &mut bufs.durs);
+            bufs.durs[0] += overhead;
+            let tail = cs.submit_pass(
+                cfg,
+                replica.dp_rank,
+                &bufs.durs,
+                replica.tails[slot],
+                TaskKind::Compute,
+            );
             replica.tails[slot] = Some(tail);
-            last.push(tail);
+            bufs.tails.push(tail);
         }
     }
-    Some(cs.join(&last))
+    Some(cs.join(&bufs.tails))
 }
 
 /// Balanced assignment of a prefill batch to up to `pp` micro-batch
@@ -273,28 +309,33 @@ pub fn submit_mixed_round(
     replica: &mut Replica,
     chunk: &BatchShape,
     chunk_slot: usize,
+    bufs: &mut PassBuffers,
 ) -> Option<TaskHandle> {
-    let slots = slot_members(replica, cfg.pp);
     if replica.running.is_empty() && chunk.is_empty() {
         return None;
     }
+    slot_decode_shapes(replica, cfg.pp, &mut bufs.slots);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last = Vec::new();
-    for (slot, members) in slots.iter().enumerate() {
-        let dshape =
-            BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + 1));
+    bufs.tails.clear();
+    for (slot, base) in bufs.slots.iter().enumerate() {
+        let dshape = decode_round_shape(base, 0);
         let pshape = if slot == chunk_slot % cfg.pp { *chunk } else { BatchShape::empty() };
         if dshape.seqs == 0 && pshape.is_empty() {
             continue;
         }
-        let mut durs = mixed_stage_durations(rl, cfg, &pshape, &dshape);
-        durs[0] += overhead;
-        let tail =
-            cs.submit_pass(cfg, replica.dp_rank, &durs, replica.tails[slot], TaskKind::Compute);
+        mixed_stage_durations_into(rl, cfg, &pshape, &dshape, &mut bufs.durs);
+        bufs.durs[0] += overhead;
+        let tail = cs.submit_pass(
+            cfg,
+            replica.dp_rank,
+            &bufs.durs,
+            replica.tails[slot],
+            TaskKind::Compute,
+        );
         replica.tails[slot] = Some(tail);
-        last.push(tail);
+        bufs.tails.push(tail);
     }
-    Some(cs.join(&last))
+    Some(cs.join(&bufs.tails))
 }
 
 #[cfg(test)]
@@ -320,7 +361,7 @@ mod tests {
         rep.running.push(RunSeq { id: 2, ctx: 600, remaining: 5 });
         let burst = rep.max_burst(64);
         assert_eq!(burst, 3);
-        let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, burst).unwrap();
+        let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, burst, &mut PassBuffers::default()).unwrap();
         cs.sim.run_until(h);
         let done = rep.advance_decode(burst);
         assert_eq!(done.len(), 1);
@@ -342,7 +383,7 @@ mod tests {
             rep.kv.allocate(id, 1000).unwrap();
             rep.running.push(RunSeq { id, ctx: 1000, remaining: 20 });
         }
-        let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 20).unwrap();
+        let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 20, &mut PassBuffers::default()).unwrap();
         let t_pipelined = cs.sim.run_until(h).as_secs();
 
         // Serialized estimate: sum of all stage durations.
@@ -387,12 +428,12 @@ mod tests {
         let cfg = ParallelConfig::tp(4);
         let mut rep = Replica::new(0, 1_000_000, cfg.pp);
         let chunk = BatchShape::prefill_chunk(512, 0);
-        let h = submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &chunk, 0).unwrap();
+        let mut bufs = PassBuffers::default();
+        let h = submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &chunk, 0, &mut bufs).unwrap();
         assert!(cs.sim.run_until(h).as_secs() > 0.0);
         // Nothing at all -> None.
-        assert!(
-            submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &BatchShape::empty(), 0).is_none()
-        );
+        let empty = BatchShape::empty();
+        assert!(submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &empty, 0, &mut bufs).is_none());
     }
 
     #[test]
@@ -400,7 +441,66 @@ mod tests {
         let (mut cs, rl) = setup();
         let cfg = ParallelConfig::tp(4);
         let mut rep = Replica::new(0, 1_000, cfg.pp);
-        assert!(submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 5).is_none());
+        assert!(submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 5, &mut PassBuffers::default()).is_none());
         assert_eq!(rep.max_burst(64), 0);
+    }
+
+    /// One layer-cost evaluation per pass, scaled by each stage's
+    /// layer count, equals the per-stage `stage_time` (plus the
+    /// activation hop on all but the last stage) bit for bit — for
+    /// even and uneven layer splits (40 layers over 3 stages is
+    /// 14/13/13).
+    #[test]
+    fn stage_durations_equal_per_stage_stage_time_bit_for_bit() {
+        let (_, rl) = setup();
+        let shapes = [
+            (Stage::Prefill, BatchShape::prefill(&[700, 130, 2048])),
+            (Stage::Prefill, BatchShape::prefill_chunk(512, 1024)),
+            (Stage::Decode, BatchShape::decode(&[513, 90, 4000, 7])),
+            (Stage::Decode, BatchShape::decode_uniform(48, 900)),
+            (Stage::Decode, BatchShape::empty()),
+        ];
+        for pp in 1..=4 {
+            for tp in [1, 2] {
+                let cfg = ParallelConfig::new(1, tp, pp);
+                for (stage, shape) in &shapes {
+                    let durs = stage_durations(&rl, cfg, *stage, shape);
+                    let p2p = rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape));
+                    let want: Vec<u64> = (0..pp)
+                        .map(|s| {
+                            let hop = if s + 1 < pp { p2p } else { 0.0 };
+                            (rl.stage_time(cfg, s, *stage, shape) + hop).to_bits()
+                        })
+                        .collect();
+                    let got: Vec<u64> = durs.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want, "pp{pp} tp{tp} {stage:?} {shape:?}");
+                }
+            }
+        }
+    }
+
+    /// A burst's O(1) round shapes (base shape advanced by
+    /// `seqs · (r + 1)`) equal `decode_iter` over every member's
+    /// advanced context, for every slot and round — including empty
+    /// slots and uneven slot membership.
+    #[test]
+    fn burst_round_shapes_equal_decode_iter_over_advanced_contexts() {
+        let ctxs = [500usize, 1, 4096, 77, 1023, 300, 2];
+        let mut rep = Replica::new(0, 1_000_000, 4);
+        for (id, &ctx) in ctxs.iter().enumerate() {
+            rep.running.push(RunSeq { id: id as u64, ctx, remaining: 64 });
+        }
+        for pp in 1..=8 {
+            let mut slots = Vec::new();
+            slot_decode_shapes(&rep, pp, &mut slots);
+            assert_eq!(slots.len(), pp);
+            for (slot, base) in slots.iter().enumerate() {
+                for r in 0..64 {
+                    let members = rep.running.iter().enumerate().filter(|(i, _)| i % pp == slot);
+                    let want = BatchShape::decode_iter(members.map(|(_, s)| s.ctx + r + 1));
+                    assert_eq!(decode_round_shape(base, r), want, "pp{pp} slot{slot} r{r}");
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@
 use crate::autotune;
 use crate::cluster_sim::ClusterSim;
 use crate::driver::{
-    assert_arrivals_sorted, submit_decode_burst, submit_prefill_batch, Replica, RunSeq,
+    assert_arrivals_sorted, submit_decode_burst, submit_prefill_batch, PassBuffers, Replica, RunSeq,
 };
 use crate::online::{Deferred, EngineRun, Progress, Unfinished};
 use crate::report::{EngineReport, Phase, PhaseSpan};
@@ -305,6 +305,8 @@ struct SeesawRun {
     /// Reusable part buffers for the per-sequence swap chains.
     scratch_a: Vec<TaskHandle>,
     scratch_b: Vec<TaskHandle>,
+    /// Reusable decode pass buffers.
+    pass_bufs: PassBuffers,
     /// Pushed requests and their token totals (for the run stats).
     pushed: (usize, u64, u64),
     /// Latest push arrival or advance time (see [`EngineRun`]).
@@ -367,6 +369,7 @@ impl SeesawRun {
             rec: TimingRecorder::new(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
+            pass_bufs: PassBuffers::default(),
             pushed: (0, 0, 0),
             horizon: f64::NEG_INFINITY,
             closed: false,
@@ -793,9 +796,14 @@ impl SeesawRun {
                 if rounds == 0 {
                     continue;
                 }
-                if let Some(h) =
-                    submit_decode_burst(&mut self.cs, &self.rl, cfg, &mut self.replicas[d], rounds)
-                {
+                if let Some(h) = submit_decode_burst(
+                    &mut self.cs,
+                    &self.rl,
+                    cfg,
+                    &mut self.replicas[d],
+                    rounds,
+                    &mut self.pass_bufs,
+                ) {
                     submitted.push((d, rounds, h));
                 }
             }

@@ -11,7 +11,7 @@
 use crate::cluster_sim::ClusterSim;
 use crate::driver::{
     assert_arrivals_sorted, submit_decode_burst, submit_mixed_round, submit_prefill_batch,
-    Replica, RunSeq,
+    PassBuffers, Replica, RunSeq,
 };
 use crate::online::{Deferred, EngineRun, OnlineEngine, Progress, ServiceRates, Unfinished};
 use crate::report::EngineReport;
@@ -205,6 +205,8 @@ struct RunState {
     mixed: VecDeque<TaskHandle>,
     round: usize,
     progress: ProgressTracker,
+    /// Reusable decode/mixed pass buffers.
+    pass_bufs: PassBuffers,
 }
 
 impl RunState {
@@ -242,6 +244,7 @@ impl RunState {
             mixed: VecDeque::new(),
             round: 0,
             progress: ProgressTracker::default(),
+            pass_bufs: PassBuffers::default(),
         }
     }
 
@@ -461,6 +464,7 @@ impl RunState {
                 self.eng.cfg,
                 &mut self.replicas[d],
                 rounds,
+                &mut self.pass_bufs,
             ) {
                 submitted.push((d, rounds, h));
             }
@@ -670,6 +674,7 @@ impl RunState {
                 &mut self.replicas[d],
                 &chunk,
                 round,
+                &mut self.pass_bufs,
             ) {
                 handles.push(h);
                 if had_running {

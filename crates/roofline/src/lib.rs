@@ -14,6 +14,9 @@
 //!
 //! and combines them per layer as
 //! `max(linear_dm, linear_comp) + max(attn_dm, attn_comp) + comm`.
+//! Every call evaluates the formulas directly — there is no memo, as
+//! an evaluation is cheaper than a hash lookup — and the engines do
+//! so once per pipeline pass, scaling by each stage's layer count.
 //!
 //! The same [`LayerCost`] also yields the *breakdown attribution* used
 //! by Figures 1 and 12: when the linear term is memory-bound (decode)
